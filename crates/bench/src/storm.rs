@@ -297,11 +297,12 @@ pub fn run(cfg: StormBenchConfig) -> StormBenchReport {
         Arc::clone(&service),
         NetServerConfig {
             max_connections: 256,
-            // More dispatch threads than the service's in-flight cap:
-            // otherwise the net layer's own pool throttles service
-            // concurrency and overload queues invisibly in the
-            // dispatch channel, where the admission controller can't
-            // see (or shed) it. The service must be the authority.
+            // Queries skip this pool: the reactor submits them straight
+            // to the service queue, where admission sees (and sheds)
+            // every one. The pool runs the blocking verbs — here the
+            // acked-write ledger's quorum inserts — and is sized so
+            // writes stalled across the failover cannot starve each
+            // other of a thread.
             workers: 128,
             ..NetServerConfig::default()
         },

@@ -586,6 +586,31 @@ pub fn hit(site: &str) -> Result<(), InjectedFault> {
     }
 }
 
+/// Mark a *delay* site without sleeping: records the hit and returns
+/// the delay an injected [`FaultKind::Delay`] asks for, so an event
+/// loop can schedule it on a timer instead of blocking a thread on it.
+/// Any other fault kind at the site is ignored (`None`).
+///
+/// ```
+/// use std::time::Duration;
+/// use ctxpref_faults::{delay_of, FaultPlan};
+///
+/// let plan = FaultPlan::builder(1)
+///     .delay_at("demo.link", &[2], Duration::from_millis(40))
+///     .build();
+/// plan.run(|| {
+///     assert_eq!(delay_of("demo.link"), None);
+///     assert_eq!(delay_of("demo.link"), Some(Duration::from_millis(40)));
+/// });
+/// assert_eq!(plan.hit_count("demo.link"), 2);
+/// ```
+pub fn delay_of(site: &str) -> Option<Duration> {
+    match current()?.decide(site) {
+        Some((FaultKind::Delay, d, _, _)) => Some(d),
+        _ => None,
+    }
+}
+
 /// Mark a *write* site of `full_len` bytes: returns the number of bytes
 /// that should actually be persisted. `full_len` when no truncation
 /// fault fires.

@@ -725,6 +725,15 @@ pub fn request_id_of(payload: &[u8]) -> Option<u64> {
     Some(id)
 }
 
+/// Whether a `ctxpref2` request payload is a `Query` or `TopK`, judged
+/// from its header bytes alone (the body is not decoded).
+pub fn is_query_request(payload: &[u8]) -> bool {
+    matches!(
+        payload,
+        [BINARY_MAGIC, BINARY_VERSION, RQ_QUERY | RQ_TOPK, ..]
+    )
+}
+
 fn resp_tag(resp: &Response) -> u8 {
     match resp {
         Response::Pong => RS_PONG,

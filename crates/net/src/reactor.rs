@@ -253,11 +253,13 @@ impl Waker {
     }
 
     /// Swallow pending wake bytes (the wake's meaning is "look at
-    /// your queues", not a count).
+    /// your queues", not a count). A short read means the pipe is
+    /// empty, so the usual single pending byte costs one syscall; a
+    /// wake racing in behind it just fires the next wait.
     pub fn drain(&self) {
         use std::io::Read;
         let mut sink = [0u8; 64];
-        while matches!((&self.reader).read(&mut sink), Ok(n) if n > 0) {}
+        while matches!((&self.reader).read(&mut sink), Ok(n) if n == sink.len()) {}
     }
 }
 

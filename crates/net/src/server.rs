@@ -4,10 +4,22 @@
 //! One **reactor thread** owns every socket: a hand-rolled epoll loop
 //! ([`crate::reactor`]) with nonblocking reads/writes and a
 //! per-connection state machine (incremental frame decoder, pending
-//! output queue, idle clock). Decoded request frames are handed to a
-//! small **worker pool** that runs dispatch against the service;
-//! completions flow back over a queue and a waker, and the reactor
-//! writes the response frames out. No thread ever blocks on a peer.
+//! output queue, idle clock). A decoded request leaves the reactor by
+//! one of two paths, and no thread ever blocks on a peer:
+//!
+//! * **Queries** — `ctxpref2` `Query` and `TopK` frames — take one
+//!   dispatch stage. The reactor decodes the request, parses the state,
+//!   clamps the deadline, and submits an owned job straight to the
+//!   service queue ([`CtxPrefService::submit_with`]). The service
+//!   worker that runs the job renders the rows, encodes the response
+//!   frame, pushes it onto the reactor's completion queue, and wakes
+//!   the reactor.
+//! * **Blocking verbs** — mutations, admin and migration steps,
+//!   batches, and every `ctxpref1` text request — go to a small worker
+//!   pool ([`NetServerConfig::workers`]) that calls the service's
+//!   blocking API. A quorum-acked write holds its thread for a
+//!   replication round trip; on this pool it cannot hold a query
+//!   worker.
 //!
 //! Responsibilities, and where each is enforced:
 //!
@@ -18,17 +30,25 @@
 //!   [`NetServerConfig::max_pipeline`] requests in flight; responses
 //!   carry the request's id and may return **out of order**. Past the
 //!   cap the reactor simply stops reading the socket — backpressure
-//!   by TCP, not by queue growth. A `ctxpref1` (text) connection is
-//!   served serially in order, exactly like the previous blocking
-//!   server, for the one-version compatibility window.
+//!   by TCP, not by queue growth. It also stops while one of the
+//!   connection's queries is in the service and the service's
+//!   admission is full, so a pipelined burst waits rather than being
+//!   shed; a connection's first query is always offered to admission.
+//!   A `ctxpref1` (text) connection is served serially in order,
+//!   exactly like the previous blocking server, for the one-version
+//!   compatibility window.
 //! * **Deadlines** — an idle connection (no bytes either way for
 //!   [`NetServerConfig::read_timeout`], or output unwritable for
 //!   [`NetServerConfig::write_timeout`]) is closed by the reactor's
-//!   sweep; the client-requested query deadline is clamped to
-//!   [`NetServerConfig::max_deadline`] before it reaches
-//!   [`CtxPrefService::query_state_deadline`].
-//! * **Panic isolation** — dispatch runs under `catch_unwind` in the
-//!   workers; a panicking request answers with a typed error.
+//!   sweep. A query's deadline is the tightest of the request's own
+//!   ask, the envelope's remaining budget, and
+//!   [`NetServerConfig::max_deadline`]. The reactor owns it: a timer
+//!   heap drives the epoll timeout, and when the deadline passes the
+//!   reactor cancels the job ([`CtxPrefService::cancel`]) and answers
+//!   the typed `deadline` error.
+//! * **Panic isolation** — blocking dispatch runs under `catch_unwind`
+//!   in the pool, and a query's rendering under `catch_unwind` on the
+//!   service worker; a panicking request answers with a typed error.
 //! * **Graceful drain** — [`NetServer::shutdown`] stops accepting,
 //!   lets in-flight requests finish (bounded by the drain timeout),
 //!   and returns how many connections had to be cut.
@@ -38,7 +58,8 @@
 //! the old server dropped these errors on the floor, and a connection
 //! whose options silently failed to apply could hang a worker.
 
-use std::collections::VecDeque;
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, VecDeque};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::os::unix::io::AsRawFd;
@@ -50,14 +71,16 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use ctxpref_context::ContextState;
-use ctxpref_core::CoreError;
+use ctxpref_core::{CoreError, ShardedMultiUserDb};
 use ctxpref_faults::sites::{
     NET_ACCEPT, NET_CONN_DELAY, NET_CONN_DROP, NET_FRAME_READ, NET_FRAME_WRITE,
 };
-use ctxpref_faults::{hit, hit_io};
-use ctxpref_service::{CtxPrefService, Priority, ReplicationError, ServiceError};
+use ctxpref_faults::{delay_of, hit, hit_io};
+use ctxpref_service::{
+    CtxPrefService, Priority, QueryJob, ReplicationError, ServiceAnswer, ServiceError, Ticket,
+};
 
-use crate::codec;
+use crate::codec::{self, WireRequest};
 use crate::frame::{encode_frame, FrameDecoder};
 use crate::proto::{AnswerRow, MigrateAction, RemoteAnswer, Request, Response, WireFallback};
 use crate::reactor::{Epoll, Interest, Slab, Token, Waker};
@@ -83,7 +106,10 @@ pub struct NetServerConfig {
     /// protocol). Past it the reactor stops reading the socket until
     /// completions drain — backpressure by TCP.
     pub max_pipeline: usize,
-    /// Dispatch worker threads.
+    /// Threads of the pool that runs blocking verbs: mutations, admin
+    /// and migration steps, batches, and `ctxpref1` text requests.
+    /// Queries do not use it; they go straight to the service's own
+    /// workers.
     pub workers: usize,
     /// The retry hint attached to a connection-admission busy frame
     /// (request-level sheds carry the service's live sojourn-derived
@@ -168,18 +194,54 @@ impl std::fmt::Debug for NetServer {
     }
 }
 
-/// One request frame handed to the worker pool.
+/// One request frame handed to the blocking-verb pool.
 struct Job {
     token: Token,
     payload: Vec<u8>,
     binary: bool,
+    /// Injected link stall (`net.conn.delay`), slept by the pool worker
+    /// before it dispatches.
+    stall: Option<Duration>,
 }
 
 /// One finished response on its way back to the reactor.
 struct Completion {
     token: Token,
-    /// The response as a raw frame payload (already protocol-encoded).
-    payload: Vec<u8>,
+    /// The query this answers (see [`Pending`]); `None` for a pool job.
+    key: Option<u64>,
+    /// The encoded frame, header included; `None` if the response could
+    /// not be framed, which closes the connection.
+    frame: Option<Vec<u8>>,
+}
+
+/// The reactor's completion queue, shared with everything that answers
+/// into it.
+#[derive(Clone)]
+struct Completions {
+    queue: Arc<Mutex<Vec<Completion>>>,
+    waker: Arc<Waker>,
+}
+
+impl Completions {
+    fn push(&self, completion: Completion) {
+        // Wake the reactor only on the empty→nonempty transition: the
+        // reactor drains the whole queue per wake, so a completion
+        // pushed behind an undrained one already has a wake pending.
+        // The push and the emptiness check share the mutex, so any
+        // drain that could consume the pending wake must also collect
+        // this completion.
+        let needs_wake = match self.queue.lock() {
+            Ok(mut queue) => {
+                let was_empty = queue.is_empty();
+                queue.push(completion);
+                was_empty
+            }
+            Err(_) => true,
+        };
+        if needs_wake {
+            self.waker.wake();
+        }
+    }
 }
 
 impl NetServer {
@@ -200,7 +262,10 @@ impl NetServer {
         let active = Arc::new(AtomicUsize::new(0));
         let undrained = Arc::new(AtomicUsize::new(0));
         let stats = Arc::new(StatsCells::default());
-        let completions: Arc<Mutex<Vec<Completion>>> = Arc::new(Mutex::new(Vec::new()));
+        let completions = Completions {
+            queue: Arc::new(Mutex::new(Vec::new())),
+            waker: Arc::clone(&waker),
+        };
 
         let (job_tx, job_rx) = channel::<Job>();
         let job_rx = Arc::new(Mutex::new(job_rx));
@@ -209,12 +274,11 @@ impl NetServer {
         for i in 0..cfg.workers.max(1) {
             let service = Arc::clone(&service);
             let job_rx = Arc::clone(&job_rx);
-            let completions = Arc::clone(&completions);
-            let waker = Arc::clone(&waker);
+            let completions = completions.clone();
             worker_threads.push(
                 std::thread::Builder::new()
                     .name(format!("ctxpref-net-worker-{i}"))
-                    .spawn(move || worker_loop(&service, &cfg, &job_rx, &completions, &waker))?,
+                    .spawn(move || worker_loop(&service, &cfg, &job_rx, &completions))?,
             );
         }
 
@@ -224,7 +288,6 @@ impl NetServer {
             let undrained = Arc::clone(&undrained);
             let stats = Arc::clone(&stats);
             let waker = Arc::clone(&waker);
-            let completions = Arc::clone(&completions);
             std::thread::Builder::new()
                 .name(format!("ctxpref-net-reactor-{}", addr.port()))
                 .spawn(move || {
@@ -239,7 +302,11 @@ impl NetServer {
                         undrained,
                         stats,
                         job_tx,
+                        service,
                         completions,
+                        drained: Vec::new(),
+                        timers: BinaryHeap::new(),
+                        next_key: 0,
                         drain_deadline: None,
                     }
                     .run()
@@ -314,8 +381,7 @@ fn worker_loop(
     service: &Arc<CtxPrefService>,
     cfg: &NetServerConfig,
     jobs: &Mutex<Receiver<Job>>,
-    completions: &Mutex<Vec<Completion>>,
-    waker: &Waker,
+    completions: &Completions,
 ) {
     loop {
         // Hold the receiver lock only for the dequeue, not the work.
@@ -326,10 +392,9 @@ fn worker_loop(
             },
             Err(_) => return,
         };
-        // Injected stall: `hit` sleeps inside for Delay rules. Runs
-        // here — in a worker — so a scripted delay never stalls the
-        // reactor thread itself.
-        let _ = hit(NET_CONN_DELAY);
+        if let Some(stall) = job.stall {
+            std::thread::sleep(stall);
+        }
         let payload = if job.binary {
             match codec::decode_request(&job.payload) {
                 Ok(wire) => codec::encode_response(
@@ -341,13 +406,7 @@ fn worker_loop(
                     // name the request — answer typed under its id so
                     // the pipelined client can match the refusal.
                     let id = codec::request_id_of(&job.payload).unwrap_or(0);
-                    codec::encode_response(
-                        id,
-                        &Response::Err {
-                            kind: "proto".to_string(),
-                            message: e.to_string(),
-                        },
-                    )
+                    codec::encode_response(id, &proto_err(e))
                 }
             }
         } else {
@@ -355,33 +414,14 @@ fn worker_loop(
             // the default Interactive tier.
             match Request::decode(&job.payload) {
                 Ok(request) => dispatch(service, cfg, &request, 0, Priority::Interactive).encode(),
-                Err(e) => Response::Err {
-                    kind: "proto".to_string(),
-                    message: e.to_string(),
-                }
-                .encode(),
+                Err(e) => proto_err(e).encode(),
             }
         };
-        // Wake the reactor only on the empty→nonempty transition: the
-        // reactor drains the whole queue per wake, so a completion
-        // pushed behind an undrained one already has a wake pending.
-        // The push and the emptiness check share the mutex, so any
-        // drain that could consume the pending wake must also collect
-        // this completion.
-        let needs_wake = match completions.lock() {
-            Ok(mut queue) => {
-                let was_empty = queue.is_empty();
-                queue.push(Completion {
-                    token: job.token,
-                    payload,
-                });
-                was_empty
-            }
-            Err(_) => true,
-        };
-        if needs_wake {
-            waker.wake();
-        }
+        completions.push(Completion {
+            token: job.token,
+            key: None,
+            frame: encode_frame(&payload).ok(),
+        });
     }
 }
 
@@ -412,6 +452,8 @@ struct Conn {
     mode: Mode,
     /// Dispatched-but-unanswered requests.
     in_flight: usize,
+    /// The queries among them, which the reactor answers itself.
+    pending: Vec<Pending>,
     /// Parsed text frames queued behind the serial dispatch.
     text_backlog: VecDeque<Vec<u8>>,
     last_activity: Instant,
@@ -419,12 +461,45 @@ struct Conn {
     write_stalled_since: Option<Instant>,
     /// Close once the output queue drains.
     closing: bool,
+    /// Reading paused while the service is full (see `pump_frames`).
+    paused: bool,
     registered: Interest,
+}
+
+/// A query submitted straight to the service, until its answer leaves.
+struct Pending {
+    /// Reactor-assigned, unique per server: matches a completion or a
+    /// timer to this entry. A completion whose key is gone (the
+    /// deadline answered first) is dropped.
+    key: u64,
+    /// The client's request id, for the `deadline` answer.
+    id: u64,
+    /// Injected link stall (`net.conn.delay`): the answer waits this
+    /// long on the reactor's timer before it leaves.
+    stall: Option<Duration>,
+    stage: Stage,
+}
+
+enum Stage {
+    /// In the service; cancelled at the ticket's deadline.
+    Submitted(Ticket),
+    /// Answered; the frame leaves at the instant.
+    Held(Instant, Option<Vec<u8>>),
+}
+
+impl Pending {
+    /// When this entry's timer is due.
+    fn due(&self) -> Instant {
+        match &self.stage {
+            Stage::Submitted(ticket) => ticket.deadline(),
+            Stage::Held(at, _) => *at,
+        }
+    }
 }
 
 impl Conn {
     fn desired_interest(&self, cfg: &NetServerConfig) -> Interest {
-        let wants_read = !self.closing && self.in_flight < cfg.max_pipeline;
+        let wants_read = !self.closing && !self.paused && self.in_flight < cfg.max_pipeline;
         let wants_write = !self.out.is_empty();
         match (wants_read, wants_write) {
             (true, true) => Interest::BOTH,
@@ -448,7 +523,15 @@ struct Reactor {
     undrained: Arc<AtomicUsize>,
     stats: Arc<StatsCells>,
     job_tx: Sender<Job>,
-    completions: Arc<Mutex<Vec<Completion>>>,
+    service: Arc<CtxPrefService>,
+    completions: Completions,
+    /// The drained completion batch (kept for its capacity).
+    drained: Vec<Completion>,
+    /// Query deadlines and held answers, earliest first, as
+    /// `(due, token, key)`. Entries go stale when their query is
+    /// answered; stale ones are skipped.
+    timers: BinaryHeap<Reverse<(Instant, u64, u64)>>,
+    next_key: u64,
     drain_deadline: Option<Instant>,
 }
 
@@ -476,10 +559,13 @@ impl Reactor {
         loop {
             events.clear();
             // A bounded tick so idle sweeps and the shutdown flag are
-            // observed even on a silent socket set.
-            let _ = self
-                .epoll
-                .wait(&mut events, Some(Duration::from_millis(100)));
+            // observed even on a silent socket set; sooner when a query
+            // deadline or a held answer falls due.
+            let tick = Duration::from_millis(100);
+            let timeout = self.next_timer().map_or(tick, |at| {
+                at.saturating_duration_since(Instant::now()).min(tick)
+            });
+            let _ = self.epoll.wait(&mut events, Some(timeout));
 
             for ev in events.iter().copied() {
                 match ev.token {
@@ -505,6 +591,7 @@ impl Reactor {
             self.drain_completions();
 
             let now = Instant::now();
+            self.fire_timers(now);
             if now.duration_since(last_sweep) >= Duration::from_millis(500) {
                 last_sweep = now;
                 self.sweep_idle(now);
@@ -599,10 +686,12 @@ impl Reactor {
                 out_pos: 0,
                 mode: Mode::Sniff,
                 in_flight: 0,
+                pending: Vec::new(),
                 text_backlog: VecDeque::new(),
                 last_activity: Instant::now(),
                 write_stalled_since: None,
                 closing: false,
+                paused: false,
                 registered: Interest::READABLE,
             });
             if self
@@ -624,7 +713,7 @@ impl Reactor {
             let Some(conn) = self.conns.get_mut(token) else {
                 return;
             };
-            if conn.closing || conn.in_flight >= self.cfg.max_pipeline {
+            if conn.closing || conn.paused || conn.in_flight >= self.cfg.max_pipeline {
                 break;
             }
             match conn.stream.read(&mut buf) {
@@ -637,6 +726,12 @@ impl Reactor {
                 Ok(n) => {
                     conn.last_activity = Instant::now();
                     conn.decoder.extend(&buf[..n]);
+                    // A short read drained the socket: skip the read
+                    // that would only say WouldBlock. Level-triggered
+                    // epoll reports anything that arrives later.
+                    if n < buf.len() {
+                        break;
+                    }
                 }
                 Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
                 Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
@@ -647,6 +742,8 @@ impl Reactor {
             }
         }
         self.pump_frames(token);
+        // Refusals answered on the spot leave now.
+        self.write_ready(token);
     }
 
     /// Drain complete frames from the connection's decoder into
@@ -657,6 +754,18 @@ impl Reactor {
                 return;
             };
             if conn.closing || conn.in_flight >= self.cfg.max_pipeline {
+                return;
+            }
+            // A pipelining connection never overruns the service: while
+            // one of its queries is in the service and admission is
+            // full, its next frames wait in the socket — backpressure by
+            // TCP, like the pipeline cap — instead of being shed. A
+            // connection's first query is always offered to admission,
+            // so the backstop still sheds under many-connection
+            // overload. The pending query's answer resumes the pump.
+            conn.paused = !conn.pending.is_empty()
+                && self.service.in_flight() >= self.service.config().max_in_flight;
+            if conn.paused {
                 return;
             }
             let payload = match conn.decoder.next_frame() {
@@ -670,7 +779,7 @@ impl Reactor {
                         kind: "frame".to_string(),
                         message: e.to_string(),
                     };
-                    self.enqueue_frame(token, &refusal.encode());
+                    self.enqueue(token, encode_frame(&refusal.encode()).ok());
                     self.write_ready(token);
                     self.shutdown_after_flush(token);
                     return;
@@ -697,22 +806,20 @@ impl Reactor {
             match conn.mode {
                 Mode::Binary => {
                     conn.in_flight += 1;
-                    let _ = self.job_tx.send(Job {
-                        token,
-                        payload,
-                        binary: true,
-                    });
+                    if codec::is_query_request(&payload) {
+                        if let Ok(wire) = codec::decode_request(&payload) {
+                            self.submit_query(token, wire);
+                            continue;
+                        }
+                    }
+                    self.dispatch_blocking(token, payload, true);
                 }
                 Mode::Text | Mode::Sniff => {
                     // Text is served one request at a time so replies
                     // stay in request order, as ctxpref1 promises.
                     if conn.in_flight == 0 {
                         conn.in_flight = 1;
-                        let _ = self.job_tx.send(Job {
-                            token,
-                            payload,
-                            binary: false,
-                        });
+                        self.dispatch_blocking(token, payload, false);
                     } else {
                         conn.text_backlog.push_back(payload);
                     }
@@ -721,36 +828,196 @@ impl Reactor {
         }
     }
 
-    fn drain_completions(&mut self) {
-        let done: Vec<Completion> = match self.completions.lock() {
-            Ok(mut queue) => queue.drain(..).collect(),
-            Err(_) => return,
-        };
-        let mut touched: Vec<Token> = Vec::new();
-        for comp in done {
-            let Some(conn) = self.conns.get_mut(comp.token) else {
-                continue;
-            };
-            conn.in_flight = conn.in_flight.saturating_sub(1);
-            // Serial text service: release the next queued request.
-            if conn.mode == Mode::Text && conn.in_flight == 0 {
-                if let Some(next) = conn.text_backlog.pop_front() {
-                    conn.in_flight = 1;
-                    let _ = self.job_tx.send(Job {
-                        token: comp.token,
-                        payload: next,
-                        binary: false,
-                    });
+    /// Hand a frame to the blocking-verb pool. The link-stall decision
+    /// is made here, in frame order, and slept by the pool worker.
+    fn dispatch_blocking(&self, token: Token, payload: Vec<u8>, binary: bool) {
+        let _ = self.job_tx.send(Job {
+            token,
+            payload,
+            binary,
+            stall: delay_of(NET_CONN_DELAY),
+        });
+    }
+
+    /// Submit a decoded query straight to the service. Refusals that
+    /// need no worker (a bad state, a shed) are answered on the spot.
+    fn submit_query(&mut self, token: Token, wire: WireRequest) {
+        let stall = delay_of(NET_CONN_DELAY);
+        let (id, key) = (wire.id, self.next_key);
+        self.next_key += 1;
+        let refusal = match query_job(
+            &self.service,
+            &self.cfg,
+            wire.req,
+            wire.budget_ms,
+            wire.tier,
+        ) {
+            Ok((job, attr, k)) => {
+                let completions = self.completions.clone();
+                let done = Box::new(
+                    move |result: Result<ServiceAnswer, ServiceError>, db: &ShardedMultiUserDb| {
+                        let resp = catch_unwind(AssertUnwindSafe(|| {
+                            answer_response(db, result, &attr, k)
+                        }))
+                        .unwrap_or_else(|_| panic_response());
+                        completions.push(Completion {
+                            token,
+                            key: Some(key),
+                            frame: encode_frame(&codec::encode_response(id, &resp)).ok(),
+                        });
+                    },
+                );
+                match self.service.submit_with(job, done) {
+                    Ok(ticket) => {
+                        self.track(token, key, id, stall, Stage::Submitted(ticket));
+                        return;
+                    }
+                    Err(e) => err_of(&e),
                 }
             }
-            self.enqueue_frame(comp.token, &comp.payload);
-            // Freed pipeline budget: frames may be waiting, parsed,
-            // in the decoder.
-            self.pump_frames(comp.token);
-            if !touched.contains(&comp.token) {
-                touched.push(comp.token);
+            Err(refusal) => refusal,
+        };
+        let frame = encode_frame(&codec::encode_response(id, &refusal)).ok();
+        match stall {
+            Some(stall) => {
+                let at = Instant::now() + stall;
+                self.track(token, key, id, None, Stage::Held(at, frame));
+            }
+            None => {
+                if let Some(conn) = self.conns.get_mut(token) {
+                    conn.in_flight -= 1;
+                }
+                self.enqueue(token, frame);
             }
         }
+    }
+
+    fn track(&mut self, token: Token, key: u64, id: u64, stall: Option<Duration>, stage: Stage) {
+        let Some(conn) = self.conns.get_mut(token) else {
+            return;
+        };
+        let pending = Pending {
+            key,
+            id,
+            stall,
+            stage,
+        };
+        self.timers.push(Reverse((pending.due(), token.0, key)));
+        conn.pending.push(pending);
+    }
+
+    /// A query's answer is in: send it, or hold it for an injected
+    /// stall. A late answer — its entry already answered — is dropped.
+    fn finish(&mut self, token: Token, key: u64, frame: Option<Vec<u8>>) {
+        let Some(conn) = self.conns.get_mut(token) else {
+            return;
+        };
+        let Some(i) = conn.pending.iter().position(|p| p.key == key) else {
+            return;
+        };
+        if let Some(stall) = conn.pending[i].stall.take() {
+            let at = Instant::now() + stall;
+            conn.pending[i].stage = Stage::Held(at, frame);
+            self.timers.push(Reverse((at, token.0, key)));
+            return;
+        }
+        conn.pending.swap_remove(i);
+        conn.in_flight -= 1;
+        self.enqueue(token, frame);
+    }
+
+    /// The earliest live timer, dropping stale ones off the top.
+    fn next_timer(&mut self) -> Option<Instant> {
+        while let Some(&Reverse((at, token, key))) = self.timers.peek() {
+            let live = self
+                .conns
+                .get_mut(Token(token))
+                .is_some_and(|c| c.pending.iter().any(|p| p.key == key && p.due() == at));
+            if live {
+                return Some(at);
+            }
+            self.timers.pop();
+        }
+        None
+    }
+
+    /// Act on every timer due by `now`: a query past its deadline is
+    /// cancelled and answered `deadline`, a held answer leaves.
+    fn fire_timers(&mut self, now: Instant) {
+        let mut touched: Vec<Token> = Vec::new();
+        while let Some(at) = self.next_timer() {
+            if at > now {
+                break;
+            }
+            let Some(Reverse((_, raw, key))) = self.timers.pop() else {
+                break;
+            };
+            let token = Token(raw);
+            let Some(conn) = self.conns.get_mut(token) else {
+                continue;
+            };
+            let Some(i) = conn.pending.iter().position(|p| p.key == key) else {
+                continue;
+            };
+            let id = conn.pending[i].id;
+            if let Stage::Submitted(ticket) = conn.pending[i].stage {
+                // A lost cancel means a worker settled the query first:
+                // its completion is already on the way.
+                if self.service.cancel(ticket) {
+                    let resp = err_of(&ticket.expired());
+                    let frame = encode_frame(&codec::encode_response(id, &resp)).ok();
+                    self.finish(token, key, frame);
+                }
+            } else if let Stage::Held(_, frame) = conn.pending.swap_remove(i).stage {
+                conn.in_flight -= 1;
+                self.enqueue(token, frame);
+            }
+            if !touched.contains(&token) {
+                touched.push(token);
+            }
+        }
+        for token in touched {
+            self.pump_frames(token);
+            self.write_ready(token);
+            self.refresh_interest(token);
+        }
+    }
+
+    fn drain_completions(&mut self) {
+        match self.completions.queue.lock() {
+            Ok(mut queue) => std::mem::swap(&mut *queue, &mut self.drained),
+            Err(_) => return,
+        }
+        let mut done = std::mem::take(&mut self.drained);
+        let mut touched: Vec<Token> = Vec::new();
+        for comp in done.drain(..) {
+            let token = comp.token;
+            match comp.key {
+                Some(key) => self.finish(token, key, comp.frame),
+                None => {
+                    let Some(conn) = self.conns.get_mut(token) else {
+                        continue;
+                    };
+                    conn.in_flight = conn.in_flight.saturating_sub(1);
+                    // Serial text service: release the next queued
+                    // request.
+                    if conn.mode == Mode::Text && conn.in_flight == 0 {
+                        if let Some(next) = conn.text_backlog.pop_front() {
+                            conn.in_flight = 1;
+                            self.dispatch_blocking(token, next, false);
+                        }
+                    }
+                    self.enqueue(token, comp.frame);
+                }
+            }
+            // Freed pipeline budget: frames may be waiting, parsed,
+            // in the decoder.
+            self.pump_frames(token);
+            if !touched.contains(&token) {
+                touched.push(token);
+            }
+        }
+        self.drained = done;
         // Flush once per connection rather than once per completion:
         // responses that completed together leave together.
         for token in touched {
@@ -759,21 +1026,20 @@ impl Reactor {
         }
     }
 
-    /// Queue one response frame. The caller flushes (`write_ready`)
-    /// once it has enqueued everything it has for the connection.
-    fn enqueue_frame(&mut self, token: Token, payload: &[u8]) {
+    /// Queue one encoded response frame (`None`: it could not be
+    /// framed, and the connection closes). The caller flushes
+    /// (`write_ready`) once it has enqueued everything it has for the
+    /// connection.
+    fn enqueue(&mut self, token: Token, frame: Option<Vec<u8>>) {
         // The per-frame write fault site the blocking server ran
         // inside `write_frame`.
         if hit_io(NET_FRAME_WRITE).is_err() {
             self.close(token, false);
             return;
         }
-        let frame = match encode_frame(payload) {
-            Ok(f) => f,
-            Err(_) => {
-                self.close(token, false);
-                return;
-            }
+        let Some(frame) = frame else {
+            self.close(token, false);
+            return;
         };
         let Some(conn) = self.conns.get_mut(token) else {
             return;
@@ -901,7 +1167,7 @@ impl Reactor {
 }
 
 // ---------------------------------------------------------------------------
-// Dispatch (runs in the worker pool)
+// Dispatch
 // ---------------------------------------------------------------------------
 
 /// Execute one request against the service, with panics contained.
@@ -920,11 +1186,105 @@ fn dispatch(
         dispatch_inner(service, cfg, req, budget_ms, tier)
     })) {
         Ok(resp) => resp,
-        Err(_) => Response::Err {
-            kind: "panic".to_string(),
-            message: "request dispatch panicked (contained at the connection boundary)".to_string(),
-        },
+        Err(_) => panic_response(),
     }
+}
+
+fn panic_response() -> Response {
+    Response::Err {
+        kind: "panic".to_string(),
+        message: "request dispatch panicked (contained at the connection boundary)".to_string(),
+    }
+}
+
+fn proto_err(e: impl std::fmt::Display) -> Response {
+    Response::Err {
+        kind: "proto".to_string(),
+        message: e.to_string(),
+    }
+}
+
+/// The "state → job" half of a query: the state names parsed against
+/// the serving environment, and the deadline the tightest of the
+/// request's own ask, the propagated remaining budget, and the server's
+/// cap (a hop-decremented budget wins over a generous per-request
+/// deadline). Returns the owned job plus the attribute and row count
+/// the answer renders with, or the typed refusal.
+fn query_job(
+    service: &CtxPrefService,
+    cfg: &NetServerConfig,
+    req: Request,
+    budget_ms: u64,
+    tier: Priority,
+) -> Result<(QueryJob, String, usize), Response> {
+    let (user, attr, k, deadline_ms, state, topk) = match req {
+        Request::Query {
+            user,
+            attr,
+            k,
+            deadline_ms,
+            state,
+        } => (user, attr, k, deadline_ms, state, None),
+        Request::TopK {
+            user,
+            attr,
+            k,
+            deadline_ms,
+            state,
+        } => (user, attr, k, deadline_ms, state, Some(k)),
+        other => return Err(proto_err(format!("not a query: {other:?}"))),
+    };
+    let names: Vec<&str> = state.iter().map(String::as_str).collect();
+    let state = service
+        .with_db(|db| ContextState::parse(db.env(), &names))
+        .map_err(|e| err_of(&ServiceError::Core(CoreError::Context(e))))?;
+    let mut deadline_ms = deadline_ms.max(1);
+    if budget_ms > 0 {
+        deadline_ms = deadline_ms.min(budget_ms);
+    }
+    let job = QueryJob {
+        user,
+        state,
+        topk,
+        deadline: Duration::from_millis(deadline_ms).min(cfg.max_deadline),
+        tier,
+    };
+    Ok((job, attr, k))
+}
+
+/// The "answer → `Response`" half of a query: the top `k` rows (ties
+/// kept) rendered by `attr`, with the rung, timing, and fallbacks.
+fn answer_response(
+    db: &ShardedMultiUserDb,
+    result: Result<ServiceAnswer, ServiceError>,
+    attr: &str,
+    k: usize,
+) -> Response {
+    let answer = match result {
+        Ok(a) => a,
+        Err(e) => return err_of(&e),
+    };
+    let rows = match render_rows(db, &answer.answer, attr, k) {
+        Ok(rows) => rows,
+        Err(e) => return err_of(&ServiceError::Core(e)),
+    };
+    Response::Answer(RemoteAnswer {
+        step: answer.step.to_string(),
+        elapsed_us: answer.elapsed.as_micros() as u64,
+        resolved_state: answer
+            .resolved_state
+            .as_ref()
+            .map(|s| s.display(db.env()).to_string()),
+        fallbacks: answer
+            .fallbacks
+            .into_iter()
+            .map(|fb| WireFallback {
+                step: fb.step.to_string(),
+                reason: fb.reason,
+            })
+            .collect(),
+        rows,
+    })
 }
 
 fn dispatch_inner(
@@ -936,101 +1296,14 @@ fn dispatch_inner(
 ) -> Response {
     match req {
         Request::Ping => Response::Pong,
-        Request::Query {
-            user,
-            attr,
-            k,
-            deadline_ms,
-            state,
-        } => {
-            let state = {
-                let names: Vec<&str> = state.iter().map(String::as_str).collect();
-                match service.with_db(|db| ContextState::parse(db.env(), &names)) {
-                    Ok(s) => s,
-                    Err(e) => return err_of(&ServiceError::Core(CoreError::Context(e))),
+        Request::Query { .. } | Request::TopK { .. } => {
+            match query_job(service, cfg, req.clone(), budget_ms, tier) {
+                Ok((job, attr, k)) => {
+                    let result = service.query_job(job);
+                    service.with_db(|db| answer_response(db, result, &attr, k))
                 }
-            };
-            // The enforced deadline is the *tightest* of the request's
-            // own ask, the propagated remaining budget, and the
-            // server's cap — a hop-decremented budget wins over a
-            // generous per-request deadline.
-            let mut deadline_ms = (*deadline_ms).max(1);
-            if budget_ms > 0 {
-                deadline_ms = deadline_ms.min(budget_ms);
+                Err(refusal) => refusal,
             }
-            let deadline = Duration::from_millis(deadline_ms).min(cfg.max_deadline);
-            let answer = match service.query_tiered(user, &state, deadline, tier) {
-                Ok(a) => a,
-                Err(e) => return err_of(&e),
-            };
-            let rows = match render_rows(service, &answer.answer, attr, *k) {
-                Ok(rows) => rows,
-                Err(e) => return err_of(&ServiceError::Core(e)),
-            };
-            Response::Answer(RemoteAnswer {
-                step: answer.step.to_string(),
-                elapsed_us: answer.elapsed.as_micros() as u64,
-                resolved_state: answer
-                    .resolved_state
-                    .as_ref()
-                    .map(|s| service.with_db(|db| s.display(db.env()).to_string())),
-                fallbacks: answer
-                    .fallbacks
-                    .iter()
-                    .map(|fb| WireFallback {
-                        step: fb.step.to_string(),
-                        reason: fb.reason.clone(),
-                    })
-                    .collect(),
-                rows,
-            })
-        }
-        Request::TopK {
-            user,
-            attr,
-            k,
-            deadline_ms,
-            state,
-        } => {
-            let state = {
-                let names: Vec<&str> = state.iter().map(String::as_str).collect();
-                match service.with_db(|db| ContextState::parse(db.env(), &names)) {
-                    Ok(s) => s,
-                    Err(e) => return err_of(&ServiceError::Core(CoreError::Context(e))),
-                }
-            };
-            // Same deadline arithmetic as Query: tightest of the
-            // request's ask, the propagated budget, and the cap.
-            let mut deadline_ms = (*deadline_ms).max(1);
-            if budget_ms > 0 {
-                deadline_ms = deadline_ms.min(budget_ms);
-            }
-            let deadline = Duration::from_millis(deadline_ms).min(cfg.max_deadline);
-            let answer = match service.query_topk_tiered(user, &state, *k, deadline, tier) {
-                Ok(a) => a,
-                Err(e) => return err_of(&e),
-            };
-            let rows = match render_rows(service, &answer.answer, attr, *k) {
-                Ok(rows) => rows,
-                Err(e) => return err_of(&ServiceError::Core(e)),
-            };
-            Response::Answer(RemoteAnswer {
-                step: answer.step.to_string(),
-                elapsed_us: answer.elapsed.as_micros() as u64,
-                resolved_state: answer
-                    .resolved_state
-                    .as_ref()
-                    .map(|s| service.with_db(|db| s.display(db.env()).to_string())),
-                fallbacks: answer
-                    .fallbacks
-                    .iter()
-                    .map(|fb| WireFallback {
-                        step: fb.step.to_string(),
-                        reason: fb.reason.clone(),
-                    })
-                    .collect(),
-                rows,
-            })
         }
         Request::ViewsStatus => Response::Text {
             body: service.views_status(),
@@ -1054,7 +1327,7 @@ fn dispatch_inner(
                 Ok(a) => a,
                 Err(e) => return err_of(&e),
             };
-            let rows = match render_rows(service, &answer, attr, *k) {
+            let rows = match service.with_db(|db| render_rows(db, &answer, attr, *k)) {
                 Ok(rows) => rows,
                 Err(e) => return err_of(&ServiceError::Core(e)),
             };
@@ -1394,23 +1667,21 @@ fn dispatch_migrate(
 }
 
 fn render_rows(
-    service: &CtxPrefService,
+    db: &ShardedMultiUserDb,
     answer: &ctxpref_core::QueryAnswer,
     attr: &str,
     k: usize,
 ) -> Result<Vec<AnswerRow>, CoreError> {
-    service.with_db(|db| {
-        let a = db.relation().schema().require_attr(attr)?;
-        Ok(answer
-            .results
-            .top_k_with_ties(k)
-            .iter()
-            .map(|e| AnswerRow {
-                name: db.relation().tuple(e.tuple_index).value(a).to_string(),
-                score: e.score,
-            })
-            .collect())
-    })
+    let a = db.relation().schema().require_attr(attr)?;
+    Ok(answer
+        .results
+        .top_k_with_ties(k)
+        .iter()
+        .map(|e| AnswerRow {
+            name: db.relation().tuple(e.tuple_index).value(a).to_string(),
+            score: e.score,
+        })
+        .collect())
 }
 
 /// Map a [`ServiceError`] to its wire form. Routing-relevant failures

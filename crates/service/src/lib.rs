@@ -55,6 +55,7 @@
 //! assert!(!answer.is_degraded());
 //! ```
 
+mod dispatch;
 mod error;
 mod ladder;
 mod migrate;
@@ -62,6 +63,7 @@ mod service;
 mod stats;
 mod tier;
 
+pub use dispatch::{QueryDone, QueryJob, Ticket};
 pub use error::ServiceError;
 pub use ladder::{Fallback, LadderStep, ServiceAnswer};
 pub use migrate::{MigrationEntry, MigrationPhase, RouteInfo, UserExport};

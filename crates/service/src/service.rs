@@ -20,8 +20,9 @@ use ctxpref_wal::{
 };
 use parking_lot::{Mutex, RwLock};
 
+use crate::dispatch::{record, worker_loop, Claims, Job, Pool, QueryDone, QueryJob, Ticket};
 use crate::error::ServiceError;
-use crate::ladder::{run_ladder, run_ladder_topk, LadderStep, ServiceAnswer};
+use crate::ladder::ServiceAnswer;
 use crate::migrate::{MigrationEntry, MigrationTable, RouteInfo, UserExport};
 use crate::stats::{Counters, ServiceStats};
 use crate::tier::Priority;
@@ -231,21 +232,6 @@ impl ReplicatedConfig {
     }
 }
 
-struct Job {
-    user: String,
-    state: ContextState,
-    /// `Some(k)` routes the job down the top-k ladder (materialized
-    /// view first, early-terminating evaluation otherwise); `None` is
-    /// a full-ranking query.
-    topk: Option<usize>,
-    deadline: Instant,
-    requested: Duration,
-    tier: Priority,
-    enqueued: Instant,
-    cancelled: Arc<AtomicBool>,
-    reply: mpsc::SyncSender<Result<ServiceAnswer, ServiceError>>,
-}
-
 /// CoDel-style admission controller: workers feed it the queue
 /// sojourn time of every job they dequeue; when sojourn stays above
 /// the target for a sustained interval, admission sheds the lowest
@@ -379,16 +365,6 @@ impl std::error::Error for BulkError {
     }
 }
 
-/// Decrements the in-flight counter when a request leaves the system,
-/// whatever the path out.
-struct InFlightGuard(Arc<AtomicUsize>);
-
-impl Drop for InFlightGuard {
-    fn drop(&mut self) {
-        self.0.fetch_sub(1, Ordering::AcqRel);
-    }
-}
-
 /// The fault-tolerant serving layer over a sharded multi-user core.
 ///
 /// Requests run on a fixed pool of worker threads behind a
@@ -396,8 +372,12 @@ impl Drop for InFlightGuard {
 ///
 /// * **Deadlines & cancellation** — every query carries a deadline; the
 ///   caller gets [`ServiceError::DeadlineExceeded`] at the deadline even
-///   if the worker is still grinding, and the worker observes the
-///   cancellation and stops between ladder rungs.
+///   if the worker is still grinding. The caller cancels the job
+///   ([`Self::cancel`]): the worker drops it unrun, or its result
+///   unseen, and the outcome is counted once.
+/// * **One dispatch stage** — [`Self::submit_with`] queues an owned
+///   job and returns; the worker hands the result to a completion on
+///   its own thread. The blocking query API is a thin wrapper over it.
 /// * **Panic isolation** — each query runs under `catch_unwind`; a panic
 ///   (real or injected) is contained and surfaces as
 ///   [`ServiceError::QueryPanicked`] or a recorded ladder fallback,
@@ -434,6 +414,7 @@ pub struct CtxPrefService {
     counters: Arc<Counters>,
     admission: Arc<Admission>,
     in_flight: Arc<AtomicUsize>,
+    claims: Arc<Claims>,
     shutting_down: Arc<AtomicBool>,
     sender: Option<mpsc::Sender<Job>>,
     workers: Vec<JoinHandle<()>>,
@@ -457,7 +438,7 @@ impl std::fmt::Debug for CtxPrefService {
 /// Count one shed request: the combined counter, the reason breakdown
 /// (`reason` is one of the `shed_*` reason atomics), and the tier
 /// breakdown — operators telling overload shapes apart need all three.
-fn record_shed(counters: &Counters, reason: &AtomicU64, tier: Priority) {
+pub(crate) fn record_shed(counters: &Counters, reason: &AtomicU64, tier: Priority) {
     counters.shed.fetch_add(1, Ordering::Relaxed);
     reason.fetch_add(1, Ordering::Relaxed);
     let by_tier = match tier {
@@ -558,19 +539,24 @@ impl CtxPrefService {
         let counters = Arc::new(Counters::default());
         let admission = Arc::new(Admission::new(cfg.codel_target, cfg.codel_interval));
         let in_flight = Arc::new(AtomicUsize::new(0));
+        let claims = Arc::new(Claims::new(cfg.max_in_flight));
         let shutting_down = Arc::new(AtomicBool::new(false));
         let (sender, receiver) = mpsc::channel::<Job>();
         let receiver = Arc::new(Mutex::new(receiver));
+        let pool = Arc::new(Pool {
+            slot: Arc::clone(&db),
+            counters: Arc::clone(&counters),
+            admission: Arc::clone(&admission),
+            in_flight: Arc::clone(&in_flight),
+            claims: Arc::clone(&claims),
+        });
         let workers = (0..cfg.workers.max(1))
             .map(|i| {
-                let db = Arc::clone(&db);
-                let counters = Arc::clone(&counters);
-                let admission = Arc::clone(&admission);
-                let in_flight = Arc::clone(&in_flight);
+                let pool = Arc::clone(&pool);
                 let receiver = Arc::clone(&receiver);
                 std::thread::Builder::new()
                     .name(format!("ctxpref-worker-{i}"))
-                    .spawn(move || worker_loop(&db, &counters, &admission, &in_flight, &receiver))
+                    .spawn(move || worker_loop(&pool, &receiver))
                     .expect("spawning a worker thread")
             })
             .collect();
@@ -580,6 +566,7 @@ impl CtxPrefService {
             counters,
             admission,
             in_flight,
+            claims,
             shutting_down,
             sender: Some(sender),
             workers,
@@ -1010,13 +997,8 @@ impl CtxPrefService {
     /// Query `user` under `state` at `tier`, failing with
     /// [`ServiceError::DeadlineExceeded`] if no answer is produced
     /// within `deadline` and with the retryable
-    /// [`ServiceError::Overloaded`] when admission sheds the tier.
-    ///
-    /// Two admission gates run in order. The CoDel-style sojourn
-    /// controller sheds Maintenance (then Bulk) when queue dwell has
-    /// exceeded the target for a sustained interval; Interactive
-    /// passes it unconditionally. The hard `max_in_flight` backstop
-    /// then bounds memory for every tier.
+    /// [`ServiceError::Overloaded`] when admission sheds the tier (the
+    /// gates are described at [`Self::submit_with`]).
     pub fn query_tiered(
         &self,
         user: &str,
@@ -1029,7 +1011,7 @@ impl CtxPrefService {
 
     /// Top-k query for `user` under `state` with the default deadline
     /// at [`Priority::Interactive`]: served from a materialized view
-    /// when one is current ([`LadderStep::View`]), early-terminating
+    /// when one is current ([`LadderStep::View`](crate::LadderStep::View)), early-terminating
     /// evaluation otherwise, with the same degradation ladder below.
     pub fn query_topk(
         &self,
@@ -1068,13 +1050,68 @@ impl CtxPrefService {
         deadline: Duration,
         tier: Priority,
     ) -> Result<ServiceAnswer, ServiceError> {
+        self.query_job(QueryJob {
+            user: user.to_string(),
+            state: state.clone(),
+            topk,
+            deadline,
+            tier,
+        })
+    }
+
+    /// Run one owned query and wait for its answer: the blocking form
+    /// of [`Self::submit_with`]. The caller waits until the job's
+    /// deadline at most; past it, the job is cancelled and the caller
+    /// gets [`ServiceError::DeadlineExceeded`].
+    pub fn query_job(&self, job: QueryJob) -> Result<ServiceAnswer, ServiceError> {
+        let (reply, answer) = mpsc::sync_channel(1);
+        let ticket = self.submit_with(
+            job,
+            Box::new(move |result, _| {
+                let _ = reply.try_send(result);
+            }),
+        )?;
+        // Wait only until the deadline the job was admitted with:
+        // admission and enqueue already consumed part of the budget.
+        let left = ticket.deadline().saturating_duration_since(Instant::now());
+        let result = match answer.recv_timeout(left) {
+            Ok(result) => return result,
+            Err(mpsc::RecvTimeoutError::Timeout) if self.cancel(ticket) => {
+                return Err(ticket.expired())
+            }
+            // The worker settled the job first: its answer is on the way.
+            Err(mpsc::RecvTimeoutError::Timeout) => answer.recv().ok(),
+            Err(mpsc::RecvTimeoutError::Disconnected) => None,
+        };
+        // A completion dropped unsent: the worker panicked past its
+        // containment (the chaos suite asserts this never happens).
+        result.unwrap_or_else(|| {
+            Err(ServiceError::QueryPanicked {
+                message: "worker dropped the reply".to_string(),
+            })
+        })
+    }
+
+    /// Submit one owned query without waiting: admit or shed it, queue
+    /// it, and return its [`Ticket`]. The worker that runs it calls
+    /// `done` with the result, on the worker thread; `done` never runs
+    /// if the job is shed here or cancelled first (see
+    /// [`Self::cancel`]). A shed or a stopped service fails here,
+    /// synchronously.
+    ///
+    /// Two admission gates run in order. The CoDel-style sojourn
+    /// controller sheds Maintenance (then Bulk) when queue dwell has
+    /// exceeded the target for a sustained interval; Interactive
+    /// passes it unconditionally. The hard `max_in_flight` backstop
+    /// then bounds memory for every tier.
+    pub fn submit_with(&self, job: QueryJob, done: QueryDone) -> Result<Ticket, ServiceError> {
         if self.shutting_down.load(Ordering::Acquire) {
             return Err(ServiceError::ShuttingDown);
         }
         // Sojourn-controller gate: shed low tiers while the queue has
         // been standing above target.
-        if self.admission.sheds(tier) {
-            record_shed(&self.counters, &self.counters.shed_sojourn, tier);
+        if self.admission.sheds(job.tier) {
+            record_shed(&self.counters, &self.counters.shed_sojourn, job.tier);
             return Err(ServiceError::Overloaded {
                 limit: self.cfg.max_in_flight,
                 retry_after: self.admission.retry_after(),
@@ -1083,103 +1120,40 @@ impl CtxPrefService {
         // Hard backstop: reserve a slot or shed.
         if self.in_flight.fetch_add(1, Ordering::AcqRel) >= self.cfg.max_in_flight {
             self.in_flight.fetch_sub(1, Ordering::AcqRel);
-            record_shed(&self.counters, &self.counters.shed_admission, tier);
+            record_shed(&self.counters, &self.counters.shed_admission, job.tier);
             return Err(ServiceError::Overloaded {
                 limit: self.cfg.max_in_flight,
                 retry_after: self.admission.retry_after(),
             });
         }
-        let cancelled = Arc::new(AtomicBool::new(false));
-        let (reply, response) = mpsc::sync_channel(1);
         let now = Instant::now();
+        let ticket = self.claims.take(now + job.deadline, job.deadline);
         let job = Job {
-            user: user.to_string(),
-            state: state.clone(),
-            topk,
-            deadline: now + deadline,
-            requested: deadline,
-            tier,
+            query: job,
+            ticket,
             enqueued: now,
-            cancelled: Arc::clone(&cancelled),
-            reply,
+            done,
         };
-        let job_deadline = job.deadline;
-        if let Some(sender) = &self.sender {
-            if sender.send(job).is_err() {
+        match &self.sender {
+            Some(sender) if sender.send(job).is_ok() => Ok(ticket),
+            _ => {
+                self.claims.settle(&ticket);
                 self.in_flight.fetch_sub(1, Ordering::AcqRel);
-                return Err(ServiceError::ShuttingDown);
-            }
-        } else {
-            self.in_flight.fetch_sub(1, Ordering::AcqRel);
-            return Err(ServiceError::ShuttingDown);
-        }
-        // Wait only the budget that remains: admission and enqueue
-        // already consumed part of the requested deadline, and waiting
-        // the full duration here would let the caller overstay the
-        // instant the workers enforce.
-        match response.recv_timeout(job_deadline.saturating_duration_since(Instant::now())) {
-            Ok(result) => {
-                self.record(&result);
-                result
-            }
-            Err(mpsc::RecvTimeoutError::Timeout) => {
-                // Cancel: the worker drops the job (or its result) when
-                // it notices; the in-flight slot frees then.
-                cancelled.store(true, Ordering::Release);
-                self.counters
-                    .deadline_exceeded
-                    .fetch_add(1, Ordering::Relaxed);
-                Err(ServiceError::DeadlineExceeded { deadline })
-            }
-            Err(mpsc::RecvTimeoutError::Disconnected) => {
-                // The worker vanished mid-request (only possible if a
-                // panic escaped the containment, which the chaos suite
-                // asserts never happens) — still a typed error.
-                self.counters.errors.fetch_add(1, Ordering::Relaxed);
-                Err(ServiceError::QueryPanicked {
-                    message: "worker disconnected before replying".to_string(),
-                })
+                Err(ServiceError::ShuttingDown)
             }
         }
     }
 
-    fn record(&self, result: &Result<ServiceAnswer, ServiceError>) {
-        match result {
-            Ok(answer) => {
-                let counter = match answer.step {
-                    LadderStep::View => &self.counters.served_view,
-                    LadderStep::Cached => &self.counters.served_cached,
-                    LadderStep::Exact => &self.counters.served_exact,
-                    LadderStep::NearestState => &self.counters.served_nearest,
-                    LadderStep::DefaultAnswer => &self.counters.served_default,
-                };
-                counter.fetch_add(1, Ordering::Relaxed);
-                let contained_panics = answer
-                    .fallbacks
-                    .iter()
-                    .filter(|fb| fb.reason.starts_with("panic:"))
-                    .count() as u64;
-                if contained_panics > 0 {
-                    self.counters
-                        .panics_contained
-                        .fetch_add(contained_panics, Ordering::Relaxed);
-                }
-            }
-            Err(ServiceError::DeadlineExceeded { .. }) => {
-                self.counters
-                    .deadline_exceeded
-                    .fetch_add(1, Ordering::Relaxed);
-            }
-            Err(ServiceError::QueryPanicked { .. }) => {
-                self.counters
-                    .panics_contained
-                    .fetch_add(1, Ordering::Relaxed);
-                self.counters.errors.fetch_add(1, Ordering::Relaxed);
-            }
-            Err(_) => {
-                self.counters.errors.fetch_add(1, Ordering::Relaxed);
-            }
+    /// Give up on a submitted query at its deadline. True if the query
+    /// was still pending or running: it will never be answered, and it
+    /// is counted as a deadline miss here. False if a worker settled it
+    /// first: its completion has run or is running.
+    pub fn cancel(&self, ticket: Ticket) -> bool {
+        if !self.claims.cancel(&ticket) {
+            return false;
         }
+        record(&self.counters, &Err(ticket.expired()));
+        true
     }
 
     /// Register a user with an empty profile. On a durable service the
@@ -1879,92 +1853,6 @@ impl Drop for CtxPrefService {
 fn refresh_serving_slot(slot: &RwLock<Arc<ShardedMultiUserDb>>, fresh: &Arc<ShardedMultiUserDb>) {
     if !Arc::ptr_eq(&slot.read(), fresh) {
         *slot.write() = Arc::clone(fresh);
-    }
-}
-
-fn worker_loop(
-    slot: &RwLock<Arc<ShardedMultiUserDb>>,
-    counters: &Counters,
-    admission: &Admission,
-    in_flight: &Arc<AtomicUsize>,
-    receiver: &Mutex<mpsc::Receiver<Job>>,
-) {
-    loop {
-        // Hold the receiver lock only while picking up a job.
-        let job = { receiver.lock().recv() };
-        let Ok(job) = job else { return };
-        // Resolve the serving core per job: the slot is re-pointed when
-        // a replicated service's local node recovers from a crash.
-        let db = Arc::clone(&slot.read());
-        let _slot = InFlightGuard(Arc::clone(in_flight));
-        // Feed the admission controller the job's queue dwell — the
-        // signal the sojourn shedder runs on.
-        admission.observe(job.enqueued.elapsed());
-        if job.cancelled.load(Ordering::Acquire) {
-            counters.cancelled.fetch_add(1, Ordering::Relaxed);
-            continue;
-        }
-        if Instant::now() >= job.deadline {
-            // Expired while queued: counted and dropped, never
-            // executed — dead work would only deepen the overload.
-            counters.deadline_exceeded.fetch_add(1, Ordering::Relaxed);
-            record_shed(counters, &counters.shed_expired, job.tier);
-            let _ = job.reply.try_send(Err(ServiceError::DeadlineExceeded {
-                deadline: job.requested,
-            }));
-            continue;
-        }
-        // Fault site: an injected delay stalls the pool here, growing
-        // queue sojourn deterministically for the overload tests and
-        // standing in for per-job service time in the storm bench.
-        // Deliberately AFTER the cancel/expiry drops: dropping dead
-        // work is free; only work that will execute pays.
-        let _ = ctxpref_faults::hit(ctxpref_faults::sites::SVC_WORKER_DEQUEUE);
-        // Outer containment: nothing may unwind out of a request, even
-        // a bug outside the per-rung guards.
-        let result = catch_unwind(AssertUnwindSafe(|| {
-            // Acquire only the user's shard, and account the wait: the
-            // time to get the lock is the serving core's contention.
-            let lock_started = Instant::now();
-            let shard = db.read_user_shard(&job.user);
-            let waited = lock_started.elapsed();
-            counters
-                .lock_wait_micros
-                .fetch_add(waited.as_micros() as u64, Ordering::Relaxed);
-            // Re-check the deadline now that the lock is held: a
-            // contended acquisition may have consumed the whole budget,
-            // and running the ladder for a caller that already timed
-            // out would only waste the shard's read capacity.
-            if Instant::now() >= job.deadline {
-                counters.deadline_after_lock.fetch_add(1, Ordering::Relaxed);
-                counters.deadline_exceeded.fetch_add(1, Ordering::Relaxed);
-                return Err(ServiceError::DeadlineExceeded {
-                    deadline: job.requested,
-                });
-            }
-            match job.topk {
-                Some(k) => run_ladder_topk(
-                    &shard,
-                    &job.user,
-                    &job.state,
-                    k,
-                    job.deadline,
-                    job.requested,
-                ),
-                None => run_ladder(&shard, &job.user, &job.state, job.deadline, job.requested),
-            }
-        }))
-        .unwrap_or_else(|payload| {
-            let message = if let Some(s) = payload.downcast_ref::<&str>() {
-                (*s).to_string()
-            } else if let Some(s) = payload.downcast_ref::<String>() {
-                s.clone()
-            } else {
-                "non-string panic payload".to_string()
-            };
-            Err(ServiceError::QueryPanicked { message })
-        });
-        let _ = job.reply.try_send(result);
     }
 }
 

@@ -103,7 +103,9 @@ pub struct ServiceStats {
     pub served_default: u64,
     /// Panics caught at the service boundary or inside a ladder rung.
     pub panics_contained: u64,
-    /// Requests that missed their deadline.
+    /// Requests that missed their deadline, counted once each: by the
+    /// caller that gave up at the deadline, or by the worker that found
+    /// the job expired.
     pub deadline_exceeded: u64,
     /// Requests shed by admission control, all reasons combined
     /// (`shed_admission + shed_sojourn + shed_expired`).
@@ -126,7 +128,8 @@ pub struct ServiceStats {
     pub shed_bulk: u64,
     /// Shed requests that carried the Maintenance tier.
     pub shed_maintenance: u64,
-    /// Requests dropped because the caller had already given up.
+    /// Jobs dropped unrun because their caller had already given up
+    /// (checked at dequeue and again after the dequeue fault stall).
     pub cancelled: u64,
     /// Storage operations retried after a transient I/O failure.
     pub storage_retries: u64,
@@ -135,9 +138,10 @@ pub struct ServiceStats {
     /// Total microseconds workers spent waiting to acquire a user's
     /// shard lock — the direct measure of serving-core contention.
     pub lock_wait_micros: u64,
-    /// Requests whose deadline expired *while waiting for the shard
-    /// lock* (caught by the post-acquisition re-check, so no query ran
-    /// against an already-dead request).
+    /// Requests whose deadline expired, or whose caller gave up,
+    /// *while waiting for the shard lock* (caught by the
+    /// post-acquisition re-check, so no query ran against an
+    /// already-dead request).
     pub deadline_after_lock: u64,
     /// Checkpoints taken (manual and background) since start.
     pub checkpoints: u64,
