@@ -39,13 +39,15 @@
 //! never retried: the server made a decision, and the caller gets it
 //! intact to apply its own policy.
 //!
-//! A busy refusal arrives in either dialect, and the dialect carries
-//! meaning: a `ctxpref1` **text** busy is connection admission — the
-//! server refused before it knew which dialect the peer speaks, and
-//! closed the socket — so the client drops its cached connection. A
-//! binary busy is a **request-level** shed on a healthy connection
-//! (admission control refused the request's tier), so the connection
-//! is kept and reused.
+//! A busy refusal's id carries meaning. Client ids start at 1 and skip
+//! 0, so a response under **id 0** answers for the connection, not a
+//! request: a busy there is connection admission (the server refused
+//! the socket and closed it), so the client drops its cached
+//! connection and redials on the next attempt. A busy under the
+//! request's own id is a **request-level** shed on a healthy
+//! connection (admission control refused the request's tier), so the
+//! connection is kept and reused. An id-0 error (a framing refusal)
+//! surfaces as [`NetError::Remote`].
 //!
 //! [`NetClient::request_enveloped`] threads an **end-to-end budget**
 //! and a [`Priority`] tier through the `ctxpref2` envelope. The budget
@@ -61,7 +63,7 @@ use ctxpref_service::Priority;
 use rand::{rngs::StdRng, Rng, SeedableRng};
 
 use crate::codec;
-use crate::error::{NetError, ProtoError};
+use crate::error::NetError;
 use crate::frame::{read_frame, read_frame_buffered, write_frame, write_frames, FrameDecoder};
 use crate::proto::{MigrateAction, RemoteAnswer, Request, Response};
 
@@ -175,18 +177,17 @@ impl NetClient {
     }
 
     /// One request/response exchange on the cached connection,
-    /// establishing it if needed. Any failure tears the connection
-    /// down so the next attempt starts from a clean dial. Returns the
-    /// response plus whether it arrived in the binary dialect — the
-    /// caller needs that to tell a request-level busy (connection
-    /// stays healthy) from a connection-admission busy (the server
-    /// closed after the frame).
+    /// establishing it if needed. A busy refusal comes back as
+    /// [`NetError::ServerBusy`]. Any other failure tears the connection
+    /// down so the next attempt starts from a clean dial, and so does a
+    /// connection-level (id 0) reply, which the server sends before it
+    /// closes.
     fn exchange(
         &mut self,
         req: &Request,
         budget_ms: u64,
         tier: Priority,
-    ) -> Result<(Response, bool), NetError> {
+    ) -> Result<Response, NetError> {
         self.ensure_conn()?;
         let id = self.next_id;
         self.next_id = self.next_id.wrapping_add(1).max(1);
@@ -211,14 +212,25 @@ impl NetClient {
                 return Err(e);
             }
         };
-        match decode_reply(&payload, id) {
-            Ok(reply) => Ok(reply),
-            Err(e) => {
-                // A frame that decoded to the wrong id (or not at all)
-                // means the stream is desynchronized; only a fresh
-                // connection is trustworthy.
+        match codec::decode_response(&payload) {
+            Ok(wire) if wire.id == id => match wire.resp {
+                // A request-level shed: the connection stays healthy.
+                busy @ Response::Busy { .. } => Err(refusal_error(busy)),
+                resp => Ok(resp),
+            },
+            reply => {
+                // Id 0 answers for the connection, which the server
+                // closes after it. Any other id (or no decodable frame)
+                // means the stream is desynchronized. Either way only a
+                // fresh connection is trustworthy.
                 self.conn = None;
-                Err(e)
+                Err(match reply {
+                    Ok(wire) if wire.id == 0 => refusal_error(wire.resp),
+                    Ok(wire) => NetError::UnexpectedResponse {
+                        got: format!("response for request id {} while awaiting {id}", wire.id),
+                    },
+                    Err(e) => NetError::Proto(e),
+                })
             }
         }
     }
@@ -310,22 +322,10 @@ impl NetClient {
                 }
             };
             match self.exchange(req, budget_ms, tier) {
-                // The server answered but had no capacity. A text busy
-                // is connection admission — the server closed the
-                // socket after the frame, so drop the cached
-                // connection. A binary busy is a request-level shed on
-                // a connection that stays healthy.
-                Ok((
-                    Response::Busy {
-                        limit,
-                        retry_after_ms,
-                    },
-                    binary,
-                )) => {
-                    if !binary {
-                        self.conn = None;
-                    }
-                    let retry_after = Duration::from_millis(retry_after_ms);
+                // The server answered but had no capacity (`exchange`
+                // already dropped the connection if the refusal was
+                // connection admission).
+                Err(NetError::ServerBusy { limit, retry_after }) => {
                     busy_attempt += 1;
                     if busy_attempt >= busy_budget {
                         return Err(NetError::ServerBusy { limit, retry_after });
@@ -334,10 +334,10 @@ impl NetClient {
                 }
                 // Any other decoded response is an answer, even a
                 // refusal: the server made a decision, so no retry.
-                Ok((Response::Err { kind, message }, _)) => {
+                Ok(Response::Err { kind, message }) => {
                     return Err(NetError::Remote { kind, message })
                 }
-                Ok((resp, _)) => return Ok(resp),
+                Ok(resp) => return Ok(resp),
                 Err(e @ (NetError::Io(_) | NetError::Frame(_))) => {
                     attempt += 1;
                     if attempt >= attempt_budget {
@@ -439,49 +439,28 @@ impl NetClient {
                         "server closed the connection mid-pipeline",
                     ))
                 })?;
-                if codec::is_binary(&payload) {
-                    let wire = codec::decode_response(&payload)
-                        .map_err(|e| NetError::Proto(ProtoError::from(e)))?;
-                    let slot = wire
-                        .id
-                        .checked_sub(base)
-                        .and_then(|i| usize::try_from(i).ok())
-                        .and_then(|i| slots.get_mut(i));
-                    match slot {
-                        Some(slot @ None) => {
-                            *slot = Some(wire.resp);
-                            remaining -= 1;
-                        }
-                        // An unknown or duplicated id: the stream is
-                        // not answering what was asked.
-                        _ => {
-                            return Err(NetError::UnexpectedResponse {
-                                got: format!("response for unknown request id {}", wire.id),
-                            })
-                        }
+                let wire = codec::decode_response(&payload)?;
+                // Id 0 mid-pipeline is connection-level: a busy refusal
+                // at admission (typed for retry) or a framing refusal.
+                if wire.id == 0 {
+                    return Err(refusal_error(wire.resp));
+                }
+                let slot = wire
+                    .id
+                    .checked_sub(base)
+                    .and_then(|i| usize::try_from(i).ok())
+                    .and_then(|i| slots.get_mut(i));
+                match slot {
+                    Some(slot @ None) => {
+                        *slot = Some(wire.resp);
+                        remaining -= 1;
                     }
-                } else {
-                    // A text frame mid-pipeline is connection-level: a
-                    // busy refusal at admission (typed for retry) or a
-                    // framing refusal.
-                    match Response::decode(&payload)? {
-                        Response::Busy {
-                            limit,
-                            retry_after_ms,
-                        } => {
-                            return Err(NetError::ServerBusy {
-                                limit,
-                                retry_after: Duration::from_millis(retry_after_ms),
-                            })
-                        }
-                        Response::Err { kind, message } => {
-                            return Err(NetError::Remote { kind, message })
-                        }
-                        other => {
-                            return Err(NetError::UnexpectedResponse {
-                                got: format!("{other:?}"),
-                            })
-                        }
+                    // An unknown or duplicated id: the stream is not
+                    // answering what was asked.
+                    _ => {
+                        return Err(NetError::UnexpectedResponse {
+                            got: format!("response for unknown request id {}", wire.id),
+                        })
                     }
                 }
             }
@@ -817,22 +796,23 @@ impl NetClient {
     }
 }
 
-/// Decode one reply frame for serial request `id`, reporting whether
-/// it was binary. Binary replies must echo the id; text replies are
-/// connection-level (the busy refusal at admission is sent before the
-/// server knows the peer's dialect).
-fn decode_reply(payload: &[u8], id: u64) -> Result<(Response, bool), NetError> {
-    if codec::is_binary(payload) {
-        let wire =
-            codec::decode_response(payload).map_err(|e| NetError::Proto(ProtoError::from(e)))?;
-        if wire.id != id {
-            return Err(NetError::UnexpectedResponse {
-                got: format!("response for request id {} while awaiting {id}", wire.id),
-            });
-        }
-        return Ok((wire.resp, true));
+/// The typed error of a refusal: a busy becomes
+/// [`NetError::ServerBusy`] with the server's hint, an error
+/// [`NetError::Remote`]. These are the only responses a server sends
+/// under the connection-level id 0; anything else there is protocol
+/// confusion.
+fn refusal_error(resp: Response) -> NetError {
+    match resp {
+        Response::Busy {
+            limit,
+            retry_after_ms,
+        } => NetError::ServerBusy {
+            limit,
+            retry_after: Duration::from_millis(retry_after_ms),
+        },
+        Response::Err { kind, message } => NetError::Remote { kind, message },
+        other => unexpected(&other),
     }
-    Ok((Response::decode(payload)?, false))
 }
 
 fn dial_one(addr: &SocketAddr, cfg: &NetClientConfig) -> std::io::Result<TcpStream> {

@@ -17,21 +17,20 @@
 //! overload — end-to-end deadline propagation lives in these two
 //! envelope fields.
 //!
-//! The leading byte `0xC2` can never begin a `ctxpref1` payload (text
-//! messages start with the ASCII `c` of the version token and `0xC2`
-//! alone is not valid UTF-8), so one `match` on the first byte routes
-//! a frame to the right decoder and both dialects coexist on one port.
+//! This is the only client encoding. A payload whose magic or version
+//! byte is wrong fails typed like any other malformed input; the server
+//! answers it with a `proto` error under the request id when the header
+//! still yields one, and under id 0 when it does not.
 //!
 //! Primitives: LEB128 varints for integers and lengths, raw
-//! length-delimited bytes for strings and record payloads (no hex
-//! doubling — the `ctxpref1`/`repl1` hex encoding cost 2× on every
-//! replication record and snapshot op), IEEE-754 little-endian for
-//! scores. Every length and count is validated against the bytes
-//! actually present **before** any allocation, so a hostile claim
-//! costs a typed [`DecodeError`] — carrying the exact byte offset —
-//! and never memory. The codec fuzz suite drives truncations, bit
-//! flips, and hostile length claims through every variant under a
-//! counting allocator.
+//! length-delimited bytes for strings and record payloads, IEEE-754
+//! little-endian for scores; the replication envelope ([`crate::repl`],
+//! magic `0xC3`) is built from the same ones. Every length and count is
+//! validated against the bytes actually present **before** any
+//! allocation, so a hostile claim costs a typed [`DecodeError`] —
+//! carrying the exact byte offset — and never memory. The codec fuzz
+//! suite drives truncations, bit flips, and hostile length claims
+//! through every variant under a counting allocator.
 
 use ctxpref_service::Priority;
 
@@ -43,12 +42,6 @@ pub const BINARY_MAGIC: u8 = 0xC2;
 /// Second byte: the binary codec version. Bumped to 0x03 when the
 /// request envelope gained the deadline budget and priority tier.
 pub const BINARY_VERSION: u8 = 0x03;
-
-/// Whether a frame payload is a `ctxpref2` binary message (as opposed
-/// to `ctxpref1` text).
-pub fn is_binary(payload: &[u8]) -> bool {
-    payload.first() == Some(&BINARY_MAGIC)
-}
 
 // ---------------------------------------------------------------------------
 // Primitives
@@ -171,7 +164,24 @@ impl<'a> Dec<'a> {
         Ok(n as usize)
     }
 
+    /// A vector for `n` elements of a [`Self::checked_count`]. The count
+    /// was checked against the bytes that remain, but an element can be
+    /// larger in memory than its least encoding (a `String` is 24 bytes;
+    /// an empty one encodes in 1), so the pre-size is capped at twice
+    /// the remaining bytes: a claim never reserves a multiple of the
+    /// input, while honest vectors still fit at once.
+    pub(crate) fn vec_for<T>(&self, n: usize) -> Vec<T> {
+        let room = 2 * (self.buf.len() - self.pos) / std::mem::size_of::<T>().max(1);
+        // Four is where a growing vector starts anyway.
+        Vec::with_capacity(n.min(room.max(4)))
+    }
+
     pub(crate) fn bytes(&mut self) -> Result<Vec<u8>, DecodeError> {
+        self.raw().map(<[u8]>::to_vec)
+    }
+
+    /// A length-delimited field, borrowed from the payload.
+    pub(crate) fn raw(&mut self) -> Result<&'a [u8], DecodeError> {
         let start = self.pos;
         let len = self.uv()?;
         let remaining = (self.buf.len() - self.pos) as u64;
@@ -185,7 +195,7 @@ impl<'a> Dec<'a> {
             });
         }
         let len = len as usize;
-        let out = self.buf[self.pos..self.pos + len].to_vec();
+        let out = &self.buf[self.pos..self.pos + len];
         self.pos += len;
         Ok(out)
     }
@@ -215,50 +225,6 @@ impl<'a> Dec<'a> {
         }
         Ok(())
     }
-}
-
-// ---------------------------------------------------------------------------
-// Hex (the shared decoder of the ctxpref1 / repl1 text dialects)
-// ---------------------------------------------------------------------------
-
-/// Encode bytes as lowercase hex (text-dialect compatibility only; the
-/// binary codec ships raw bytes).
-pub(crate) fn hex_encode(bytes: &[u8]) -> String {
-    let mut s = String::with_capacity(bytes.len() * 2);
-    for b in bytes {
-        s.push(char::from_digit(u32::from(b >> 4), 16).expect("nibble < 16"));
-        s.push(char::from_digit(u32::from(b & 0xf), 16).expect("nibble < 16"));
-    }
-    s
-}
-
-/// Decode a hex string. The one hex decoder of the wire layer: the
-/// odd-length and bad-digit paths both fail with a [`DecodeError`]
-/// carrying the byte offset of the offending digit (the text protocols
-/// used to report these two cases with different error text, one of
-/// them offset-less).
-pub fn hex_decode(s: &str) -> Result<Vec<u8>, DecodeError> {
-    let raw = s.as_bytes();
-    if !raw.len().is_multiple_of(2) {
-        return Err(DecodeError {
-            offset: raw.len() - 1,
-            kind: DecodeKind::OddHexLength,
-        });
-    }
-    let digit = |i: usize| -> Result<u8, DecodeError> {
-        (raw[i] as char)
-            .to_digit(16)
-            .map(|d| d as u8)
-            .ok_or(DecodeError {
-                offset: i,
-                kind: DecodeKind::BadHexDigit,
-            })
-    };
-    let mut out = Vec::with_capacity(raw.len() / 2);
-    for i in (0..raw.len()).step_by(2) {
-        out.push((digit(i)? << 4) | digit(i + 1)?);
-    }
-    Ok(out)
 }
 
 // ---------------------------------------------------------------------------
@@ -515,7 +481,7 @@ pub fn encode_request_enveloped(id: u64, req: &Request, budget_ms: u64, tier: Pr
     out
 }
 
-fn header<'a>(payload: &'a [u8], what: &'static str) -> Result<(Dec<'a>, u8, u64), DecodeError> {
+fn header(payload: &[u8]) -> Result<(Dec<'_>, u8, u64), DecodeError> {
     let mut dec = Dec::new(payload);
     let magic = dec.u8()?;
     if magic != BINARY_MAGIC {
@@ -537,10 +503,8 @@ fn header<'a>(payload: &'a [u8], what: &'static str) -> Result<(Dec<'a>, u8, u64
             },
         });
     }
-    let tag_at = dec.offset();
     let tag = dec.u8()?;
     let id = dec.uv()?;
-    let _ = (tag_at, what);
     Ok((dec, tag, id))
 }
 
@@ -573,7 +537,7 @@ fn decode_request_body(
             let k = dec.uv_len()?;
             let deadline_ms = dec.uv()?;
             let n = dec.checked_count(1)?;
-            let mut state = Vec::with_capacity(n);
+            let mut state = dec.vec_for(n);
             for _ in 0..n {
                 state.push(dec.str_()?);
             }
@@ -591,7 +555,7 @@ fn decode_request_body(
             let k = dec.uv_len()?;
             let deadline_ms = dec.uv()?;
             let n = dec.checked_count(1)?;
-            let mut state = Vec::with_capacity(n);
+            let mut state = dec.vec_for(n);
             for _ in 0..n {
                 state.push(dec.str_()?);
             }
@@ -642,7 +606,7 @@ fn decode_request_body(
                 MA_IMPORT => {
                     let src_lsn = dec.uv()?;
                     let n = dec.checked_count(1)?;
-                    let mut ops = Vec::with_capacity(n);
+                    let mut ops = dec.vec_for(n);
                     for _ in 0..n {
                         ops.push(dec.bytes()?);
                     }
@@ -651,7 +615,7 @@ fn decode_request_body(
                 MA_APPLY => {
                     let through = dec.uv()?;
                     let n = dec.checked_count(2)?;
-                    let mut records = Vec::with_capacity(n);
+                    let mut records = dec.vec_for(n);
                     for _ in 0..n {
                         records.push((dec.uv()?, dec.bytes()?));
                     }
@@ -681,7 +645,7 @@ fn decode_request_body(
                 return Err(tag_err(dec));
             }
             let n = dec.checked_count(1)?;
-            let mut requests = Vec::with_capacity(n);
+            let mut requests = dec.vec_for(n);
             for _ in 0..n {
                 let sub_tag = dec.u8()?;
                 // Batches do not nest.
@@ -696,7 +660,7 @@ fn decode_request_body(
 /// Decode a `ctxpref2` request frame payload (header, envelope budget
 /// and tier, then the body).
 pub fn decode_request(payload: &[u8]) -> Result<WireRequest, DecodeError> {
-    let (mut dec, tag, id) = header(payload, "request")?;
+    let (mut dec, tag, id) = header(payload)?;
     let budget_ms = dec.uv()?;
     let tier_at = dec.offset();
     let tier_tag = dec.u8()?;
@@ -721,7 +685,7 @@ pub fn decode_request(payload: &[u8]) -> Result<WireRequest, DecodeError> {
 /// failed to decode, so the refusal can still be matched to the
 /// request that caused it. `None` if even the header is unreadable.
 pub fn request_id_of(payload: &[u8]) -> Option<u64> {
-    let (_, _, id) = header(payload, "request").ok()?;
+    let (_, _, id) = header(payload).ok()?;
     Some(id)
 }
 
@@ -919,7 +883,7 @@ fn decode_response_body(
                 }
             };
             let nf = dec.checked_count(2)?;
-            let mut fallbacks = Vec::with_capacity(nf);
+            let mut fallbacks = dec.vec_for(nf);
             for _ in 0..nf {
                 fallbacks.push(WireFallback {
                     step: dec.str_()?,
@@ -927,7 +891,7 @@ fn decode_response_body(
                 });
             }
             let nr = dec.checked_count(9)?;
-            let mut rows = Vec::with_capacity(nr);
+            let mut rows = dec.vec_for(nr);
             for _ in 0..nr {
                 rows.push(AnswerRow {
                     name: dec.str_()?,
@@ -970,7 +934,7 @@ fn decode_response_body(
         RS_SNAPSHOT => {
             let src_lsn = dec.uv()?;
             let n = dec.checked_count(1)?;
-            let mut ops = Vec::with_capacity(n);
+            let mut ops = dec.vec_for(n);
             for _ in 0..n {
                 ops.push(dec.bytes()?);
             }
@@ -979,7 +943,7 @@ fn decode_response_body(
         RS_RECORDS => {
             let through = dec.uv()?;
             let n = dec.checked_count(2)?;
-            let mut records = Vec::with_capacity(n);
+            let mut records = dec.vec_for(n);
             for _ in 0..n {
                 records.push((dec.uv()?, dec.bytes()?));
             }
@@ -1015,7 +979,7 @@ fn decode_response_body(
                 return Err(tag_err(dec));
             }
             let n = dec.checked_count(1)?;
-            let mut responses = Vec::with_capacity(n);
+            let mut responses = dec.vec_for(n);
             for _ in 0..n {
                 let sub_tag = dec.u8()?;
                 responses.push(decode_response_body(dec, sub_tag, false)?);
@@ -1028,7 +992,7 @@ fn decode_response_body(
 
 /// Decode a `ctxpref2` response frame payload.
 pub fn decode_response(payload: &[u8]) -> Result<WireResponse, DecodeError> {
-    let (mut dec, tag, id) = header(payload, "response")?;
+    let (mut dec, tag, id) = header(payload)?;
     let resp = decode_response_body(&mut dec, tag, true)?;
     dec.expect_end()?;
     Ok(WireResponse { id, resp })
@@ -1041,7 +1005,6 @@ mod tests {
 
     fn roundtrip_req(req: Request) {
         let payload = encode_request(0x1234_5678_9abc, &req);
-        assert!(is_binary(&payload));
         let back = decode_request(&payload).expect("decode");
         assert_eq!(back.id, 0x1234_5678_9abc);
         assert_eq!(back.budget_ms, 0);
@@ -1332,16 +1295,5 @@ mod tests {
         payload.push(0);
         let err = decode_request(&payload).unwrap_err();
         assert_eq!(err.kind, DecodeKind::TrailingBytes);
-    }
-
-    #[test]
-    fn hex_errors_carry_offsets() {
-        assert_eq!(hex_decode("00ff7a").unwrap(), vec![0x00, 0xff, 0x7a]);
-        let odd = hex_decode("abc").unwrap_err();
-        assert_eq!(odd.kind, DecodeKind::OddHexLength);
-        assert_eq!(odd.offset, 2);
-        let bad = hex_decode("aazz").unwrap_err();
-        assert_eq!(bad.kind, DecodeKind::BadHexDigit);
-        assert_eq!(bad.offset, 2);
     }
 }

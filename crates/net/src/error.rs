@@ -66,11 +66,11 @@ impl From<io::Error> for FrameError {
 
 /// Why a byte sequence could not be decoded, with the **byte offset**
 /// at which decoding failed. This is the one decode-failure currency
-/// of the wire layer: the binary `ctxpref2` codec, the hex decoders of
-/// the text protocols, and the frame header parser all report through
-/// it, so every malformed input — odd-length hex, a bad hex digit, a
-/// truncated varint, a hostile length claim — fails with the same
-/// shape and never loses the offset.
+/// of the wire layer: the `ctxpref2` codec, the binary replication
+/// envelope, and the frame header parser all report through it, so
+/// every malformed input — a bad tag, a truncated varint, a hostile
+/// length claim — fails with the same shape and never loses the
+/// offset.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DecodeError {
     /// Byte offset into the payload at which decoding failed.
@@ -94,11 +94,12 @@ pub enum DecodeKind {
     },
     /// A string field is not valid UTF-8.
     BadUtf8,
-    /// A hex payload has an odd number of digits (offset points at the
-    /// dangling digit).
-    OddHexLength,
-    /// A byte of a hex payload is not a hex digit.
-    BadHexDigit,
+    /// A replicated profile (the checkpoint's profile section, carried
+    /// length-delimited) did not parse against the receiver's schema.
+    BadProfile {
+        /// The storage parser's complaint.
+        reason: String,
+    },
     /// A declared length or count exceeds what the input (or a hard
     /// cap) can honour; rejected before any allocation of that size.
     LengthOverflow {
@@ -122,8 +123,9 @@ impl fmt::Display for DecodeError {
                 write!(f, "unknown {what} tag {tag} at byte {offset}")
             }
             DecodeKind::BadUtf8 => write!(f, "invalid utf-8 at byte {offset}"),
-            DecodeKind::OddHexLength => write!(f, "odd-length hex at byte {offset}"),
-            DecodeKind::BadHexDigit => write!(f, "bad hex digit at byte {offset}"),
+            DecodeKind::BadProfile { reason } => {
+                write!(f, "bad profile section at byte {offset}: {reason}")
+            }
             DecodeKind::LengthOverflow { declared, max } => write!(
                 f,
                 "declared length {declared} exceeds limit {max} at byte {offset}"
@@ -136,36 +138,6 @@ impl fmt::Display for DecodeError {
 
 impl Error for DecodeError {}
 
-impl From<DecodeError> for ProtoError {
-    fn from(e: DecodeError) -> Self {
-        ProtoError::new(e.to_string())
-    }
-}
-
-/// A frame decoded, but its payload is not a well-formed protocol
-/// message (wrong version tag, unknown verb, bad field).
-#[derive(Debug)]
-pub struct ProtoError {
-    /// What was wrong.
-    pub reason: String,
-}
-
-impl ProtoError {
-    pub(crate) fn new(reason: impl Into<String>) -> Self {
-        Self {
-            reason: reason.into(),
-        }
-    }
-}
-
-impl fmt::Display for ProtoError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "malformed protocol message: {}", self.reason)
-    }
-}
-
-impl Error for ProtoError {}
-
 /// Errors of the client/server request path.
 #[derive(Debug)]
 pub enum NetError {
@@ -174,7 +146,7 @@ pub enum NetError {
     /// A frame could not be decoded.
     Frame(FrameError),
     /// A frame decoded but carried a malformed message.
-    Proto(ProtoError),
+    Proto(DecodeError),
     /// The server shed the request: its connection limit is saturated
     /// or admission control refused the request's tier. Typed so
     /// callers can back off instead of hanging, with the server's own
@@ -227,7 +199,7 @@ impl fmt::Display for NetError {
         match self {
             Self::Io(e) => write!(f, "network i/o: {e}"),
             Self::Frame(e) => write!(f, "{e}"),
-            Self::Proto(e) => write!(f, "{e}"),
+            Self::Proto(e) => write!(f, "malformed protocol message: {e}"),
             Self::ServerBusy { limit, retry_after } => {
                 write!(
                     f,
@@ -277,8 +249,8 @@ impl From<FrameError> for NetError {
     }
 }
 
-impl From<ProtoError> for NetError {
-    fn from(e: ProtoError) -> Self {
+impl From<DecodeError> for NetError {
+    fn from(e: DecodeError) -> Self {
         Self::Proto(e)
     }
 }

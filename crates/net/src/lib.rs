@@ -7,8 +7,10 @@
 //!   record framing minus the LSN). The declared length is capped
 //!   **before allocation**, so hostile peers cost a header read, not
 //!   memory.
-//! * [`proto`] + [`server`]/[`client`] — a versioned request/response
-//!   vocabulary over those frames; [`NetServer`] fronts a shared
+//! * [`proto`] + [`codec`] + [`server`]/[`client`] — the
+//!   request/response vocabulary and its one encoding (`ctxpref2`:
+//!   versioned, binary, with pipelining request ids) over those
+//!   frames; [`NetServer`] fronts a shared
 //!   [`CtxPrefService`](ctxpref_service::CtxPrefService) with
 //!   connection admission, socket deadlines, panic containment, and
 //!   graceful drain; [`NetClient`] is the blocking peer with
@@ -66,18 +68,16 @@ pub mod server;
 pub use client::{NetClient, NetClientConfig};
 pub use codec::{
     decode_request, decode_response, encode_request, encode_request_enveloped, encode_response,
-    is_binary, WireRequest, WireResponse, BINARY_MAGIC, BINARY_VERSION,
+    WireRequest, WireResponse, BINARY_MAGIC, BINARY_VERSION,
 };
 // The tier vocabulary travels in the wire envelope; re-exported so
 // network callers need not depend on the service crate for it.
 pub use ctxpref_service::Priority;
-pub use error::{DecodeError, DecodeKind, FrameError, NetError, ProtoError};
+pub use error::{DecodeError, DecodeKind, FrameError, NetError};
 pub use frame::{
     encode_frame, frame_checksum, read_frame, write_frame, FrameDecoder, FRAME_HEADER,
     MAX_FRAME_PAYLOAD,
 };
-pub use proto::{
-    AnswerRow, MigrateAction, RemoteAnswer, Request, Response, WireFallback, PROTO_VERSION,
-};
-pub use repl::{ReplServer, TcpTransport, REPL_PROTO_VERSION};
+pub use proto::{AnswerRow, MigrateAction, RemoteAnswer, Request, Response, WireFallback};
+pub use repl::{ReplServer, TcpTransport};
 pub use server::{NetServer, NetServerConfig};

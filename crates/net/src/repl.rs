@@ -20,30 +20,36 @@
 //!
 //! ## Envelope wire form
 //!
-//! The hot path — `records` shipments, one per acked write under
-//! pipelining — travels binary: a frame payload of
-//! `[0xC3 | version | from | epoch | shard | n | (lsn, payload)×n]`
-//! with LEB128 varints and raw length-delimited record bytes (no hex
-//! doubling). `0xC3` cannot begin UTF-8 text, so receivers sniff the
-//! first byte. Every other message — and everything a `repl1`-era
-//! peer sends — is one frame of text lines in the storage dialect
-//! (whitespace-escaped tokens; profiles reuse
-//! [`write_profile`]/[`read_profile`] verbatim — the same sections the
-//! checkpoint files store):
+//! Every envelope and every reply is one binary frame payload built
+//! from the [`crate::codec`] primitives (LEB128 varints, raw
+//! length-delimited bytes and strings):
 //!
 //! ```text
-//! repl1 <from> <epoch> records <shard> <n>      rec <lsn> <hex-payload> ×n
-//! repl1 <from> <epoch> snapshot <stripes>       lsns …, stripe/user/profile…
-//! repl1 <from> <epoch> heartbeat
-//! repl1 <from> <epoch> digest-request
-//! repl1 <from> <epoch> resync <shard> <lsn> <n> user/profile…
+//! envelope: [0xC3 | 0x03 | tag u8 | from varint | epoch varint | body…]
+//!   1 records            shard, n, (lsn, payload)×n
+//!   2 snapshot           n, lsn×n, stripes, (users, (name, profile)×users)×stripes
+//!   3 heartbeat          —
+//!   4 digest-request     —
+//!   5 resync             shard, last lsn, users, (name, profile)×users
+//! reply:    [0xC3 | 0x03 | tag u8 | body…]
+//!   1 progress             next lsn
+//!   2 snapshot-installed   —
+//!   3 beat                 epoch, n, lsn×n
+//!   4 digests              n, digest×n
+//!   5 resynced             —
+//!   6 fenced               current epoch
+//!   7 failed               reason
 //! ```
 //!
-//! Text `records` stays accepted for one version so a rolling upgrade
-//! never strands a sender.
+//! A profile travels as the bytes [`write_profile`] produces — the
+//! section the checkpoint files store — in one length-delimited field,
+//! and the receiver parses it with [`read_profile`] against its own
+//! environment. Names and reasons are carried raw, so spaces, newlines
+//! and non-ASCII text need no escaping. Every count is checked against
+//! the bytes that remain before anything is allocated by it, so a
+//! hostile claim fails as a typed [`DecodeError`].
 
 use std::collections::HashMap;
-use std::io::BufRead;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -56,96 +62,137 @@ use ctxpref_faults::sites::{
     NET_ACCEPT, NET_CONN_DROP, REPL_HEARTBEAT_DROP, REPL_PARTITION, REPL_SEND_DELAY,
     REPL_SEND_DROP, REPL_SEND_DUPLICATE,
 };
+use ctxpref_profile::Profile;
 use ctxpref_relation::Relation;
 use ctxpref_replication::{
     Envelope, Message, NodeId, NodeTransport, ReplNode, Reply, Transport, TransportError,
 };
-use ctxpref_storage::{escape, read_profile, unescape, write_profile};
+use ctxpref_storage::{read_profile, write_profile, StorageError};
 use parking_lot::{Mutex, RwLock};
 
-use crate::codec::{hex_decode, put_bytes, put_uv, Dec};
-use crate::error::{DecodeError, DecodeKind, ProtoError};
+use crate::codec::{put_bytes, put_str, put_uv, Dec};
+use crate::error::{DecodeError, DecodeKind};
 use crate::frame::{read_frame, write_frame};
 
-/// Version tag of the replication wire dialect.
-pub const REPL_PROTO_VERSION: &str = "repl1";
-
-/// First payload byte of a binary replication envelope. Like the
-/// request codec's `0xC2`, `0xC3` can never begin well-formed UTF-8,
-/// so one byte disambiguates the dialects.
+/// First payload byte of every replication envelope and reply.
 pub const REPL_BINARY_MAGIC: u8 = 0xC3;
 
-/// Version byte following [`REPL_BINARY_MAGIC`].
-pub const REPL_BINARY_VERSION: u8 = 0x02;
+/// Version byte following [`REPL_BINARY_MAGIC`]. Bumped to 0x03 when
+/// every message, not only `records`, moved to the binary form behind
+/// a message tag.
+pub const REPL_BINARY_VERSION: u8 = 0x03;
+
+// Envelope message tags.
+const MSG_RECORDS: u8 = 1;
+const MSG_SNAPSHOT: u8 = 2;
+const MSG_HEARTBEAT: u8 = 3;
+const MSG_DIGEST_REQUEST: u8 = 4;
+const MSG_RESYNC: u8 = 5;
+
+// Reply tags.
+const RP_PROGRESS: u8 = 1;
+const RP_SNAPSHOT_INSTALLED: u8 = 2;
+const RP_BEAT: u8 = 3;
+const RP_DIGESTS: u8 = 4;
+const RP_RESYNCED: u8 = 5;
+const RP_FENCED: u8 = 6;
+const RP_FAILED: u8 = 7;
 
 // ---------------------------------------------------------------------------
 // Envelope / Reply codec
 // ---------------------------------------------------------------------------
 
-fn next_line(cur: &mut &[u8]) -> Result<String, ProtoError> {
-    let mut s = String::new();
-    cur.read_line(&mut s)
-        .map_err(|e| ProtoError::new(format!("reading replication line: {e}")))?;
-    if s.is_empty() {
-        return Err(ProtoError::new("replication message ended early"));
+fn put_u64s(out: &mut Vec<u8>, vals: &[u64]) {
+    put_uv(out, vals.len() as u64);
+    for v in vals {
+        put_uv(out, *v);
     }
-    while s.ends_with('\n') || s.ends_with('\r') {
-        s.pop();
-    }
-    Ok(s)
 }
 
-fn num<T: std::str::FromStr>(tok: &str, what: &str) -> Result<T, ProtoError> {
-    tok.parse()
-        .map_err(|_| ProtoError::new(format!("bad {what}: {tok:?}")))
-}
-
-fn write_users(
+fn put_users(
     out: &mut Vec<u8>,
-    users: &[(String, ctxpref_profile::Profile)],
+    users: &[(String, Profile)],
     rel: &Relation,
-) -> Result<(), ProtoError> {
+) -> Result<(), StorageError> {
+    put_uv(out, users.len() as u64);
+    let mut section = Vec::new();
     for (name, profile) in users {
-        out.extend_from_slice(format!("user {}\n", escape(name)).as_bytes());
-        write_profile(out, profile, rel)
-            .map_err(|e| ProtoError::new(format!("encoding profile for {name:?}: {e}")))?;
+        put_str(out, name);
+        section.clear();
+        write_profile(&mut section, profile, rel)?;
+        put_bytes(out, &section);
     }
     Ok(())
 }
 
+fn read_u64s(d: &mut Dec<'_>) -> Result<Vec<u64>, DecodeError> {
+    let n = d.checked_count(1)?;
+    let mut vals = d.vec_for(n);
+    for _ in 0..n {
+        vals.push(d.uv()?);
+    }
+    Ok(vals)
+}
+
 fn read_users(
-    cur: &mut &[u8],
-    count: usize,
+    d: &mut Dec<'_>,
     env: &ContextEnvironment,
     rel: &Relation,
-) -> Result<Vec<(String, ctxpref_profile::Profile)>, ProtoError> {
-    let mut users = Vec::with_capacity(count.min(1024));
-    for _ in 0..count {
-        let line = next_line(cur)?;
-        let name = match line.split_whitespace().collect::<Vec<_>>()[..] {
-            ["user", name] => unescape(name)
-                .ok_or_else(|| ProtoError::new(format!("bad user token: {name:?}")))?,
-            _ => return Err(ProtoError::new(format!("expected `user <name>`: {line:?}"))),
-        };
-        let profile = read_profile(&mut *cur, env, rel)
-            .map_err(|e| ProtoError::new(format!("decoding profile for {name:?}: {e}")))?;
+) -> Result<Vec<(String, Profile)>, DecodeError> {
+    // A user is at least a one-byte name length and a one-byte
+    // profile length.
+    let n = d.checked_count(2)?;
+    let mut users = d.vec_for(n);
+    for _ in 0..n {
+        let name = d.str_()?;
+        let at = d.offset();
+        let profile = read_profile(d.raw()?, env, rel).map_err(|e| DecodeError {
+            offset: at,
+            kind: DecodeKind::BadProfile {
+                reason: e.to_string(),
+            },
+        })?;
         users.push((name, profile));
     }
     Ok(users)
 }
 
-/// Encode `env` as one frame payload. The `records` hot path goes
-/// binary (raw record bytes, varint framing); everything else stays
-/// `repl1` text.
-pub fn encode_envelope(env: &Envelope, rel: &Relation) -> Result<Vec<u8>, ProtoError> {
-    let head = format!("{REPL_PROTO_VERSION} {} {}", env.from, env.epoch);
+/// Check the magic and version shared by envelopes and replies, and
+/// return the message tag.
+fn read_header(d: &mut Dec<'_>) -> Result<u8, DecodeError> {
+    let magic = d.u8()?;
+    if magic != REPL_BINARY_MAGIC {
+        return Err(bad_tag(0, "replication magic", magic));
+    }
+    let version = d.u8()?;
+    if version != REPL_BINARY_VERSION {
+        return Err(bad_tag(1, "replication codec version", version));
+    }
+    d.u8()
+}
+
+fn bad_tag(offset: usize, what: &'static str, tag: u8) -> DecodeError {
+    DecodeError {
+        offset,
+        kind: DecodeKind::BadTag {
+            what,
+            tag: u64::from(tag),
+        },
+    }
+}
+
+/// Encode `env` as one frame payload. Profiles are written against
+/// `rel`; only that step can fail.
+pub fn encode_envelope(env: &Envelope, rel: &Relation) -> Result<Vec<u8>, StorageError> {
     let mut out = Vec::new();
+    let head = |out: &mut Vec<u8>, tag: u8| {
+        out.extend_from_slice(&[REPL_BINARY_MAGIC, REPL_BINARY_VERSION, tag]);
+        put_uv(out, env.from as u64);
+        put_uv(out, env.epoch);
+    };
     match &env.msg {
         Message::Records { shard, records } => {
-            out.push(REPL_BINARY_MAGIC);
-            out.push(REPL_BINARY_VERSION);
-            put_uv(&mut out, env.from as u64);
-            put_uv(&mut out, env.epoch);
+            head(&mut out, MSG_RECORDS);
             put_uv(&mut out, *shard as u64);
             put_uv(&mut out, records.len() as u64);
             for (lsn, payload) in records {
@@ -154,252 +201,127 @@ pub fn encode_envelope(env: &Envelope, rel: &Relation) -> Result<Vec<u8>, ProtoE
             }
         }
         Message::Snapshot { stripes, lsns } => {
-            out.extend_from_slice(format!("{head} snapshot {}\n", stripes.len()).as_bytes());
-            let rendered: Vec<String> = lsns.iter().map(u64::to_string).collect();
-            let line = format!("lsns {} {}", lsns.len(), rendered.join(" "));
-            out.extend_from_slice(line.trim_end().as_bytes());
-            out.push(b'\n');
-            for (i, stripe) in stripes.iter().enumerate() {
-                out.extend_from_slice(format!("stripe {i} {}\n", stripe.len()).as_bytes());
-                write_users(&mut out, stripe, rel)?;
+            head(&mut out, MSG_SNAPSHOT);
+            put_u64s(&mut out, lsns);
+            put_uv(&mut out, stripes.len() as u64);
+            for stripe in stripes {
+                put_users(&mut out, stripe, rel)?;
             }
         }
-        Message::Heartbeat => out.extend_from_slice(format!("{head} heartbeat\n").as_bytes()),
-        Message::DigestRequest => {
-            out.extend_from_slice(format!("{head} digest-request\n").as_bytes())
-        }
+        Message::Heartbeat => head(&mut out, MSG_HEARTBEAT),
+        Message::DigestRequest => head(&mut out, MSG_DIGEST_REQUEST),
         Message::Resync {
             shard,
             users,
             last_lsn,
         } => {
-            out.extend_from_slice(
-                format!("{head} resync {shard} {last_lsn} {}\n", users.len()).as_bytes(),
-            );
-            write_users(&mut out, users, rel)?;
+            head(&mut out, MSG_RESYNC);
+            put_uv(&mut out, *shard as u64);
+            put_uv(&mut out, *last_lsn);
+            put_users(&mut out, users, rel)?;
         }
     }
     Ok(out)
 }
 
-/// Decode one frame payload back into an [`Envelope`]. Accepts both
-/// the binary `records` form and all `repl1` text forms (including
-/// text `records` from a pre-upgrade peer).
+/// Decode one frame payload back into an [`Envelope`], parsing any
+/// profiles against the receiver's `env` and `rel`.
 pub fn decode_envelope(
     payload: &[u8],
     env: &ContextEnvironment,
     rel: &Relation,
-) -> Result<Envelope, ProtoError> {
-    if payload.first() == Some(&REPL_BINARY_MAGIC) {
-        return decode_binary_records(payload).map_err(ProtoError::from);
-    }
-    let mut cur = payload;
-    let header = next_line(&mut cur)?;
-    let toks: Vec<&str> = header.split_whitespace().collect();
-    let rest = match toks.as_slice() {
-        [version, rest @ ..] if *version == REPL_PROTO_VERSION => rest,
-        [version, ..] => {
-            return Err(ProtoError::new(format!(
-                "replication protocol version mismatch: peer speaks {version:?}, this side {REPL_PROTO_VERSION:?}"
-            )))
-        }
-        [] => return Err(ProtoError::new("empty replication header")),
-    };
-    let (from, epoch, verb) = match rest {
-        [from, epoch, verb @ ..] if !verb.is_empty() => (
-            num::<NodeId>(from, "sender id")?,
-            num::<u64>(epoch, "epoch")?,
-            verb,
-        ),
-        _ => {
-            return Err(ProtoError::new(format!(
-                "bad replication header: {header:?}"
-            )))
-        }
-    };
-    let msg = match verb {
-        ["records", shard, n] => {
-            let shard = num::<usize>(shard, "shard")?;
-            let n = num::<usize>(n, "record count")?;
-            let mut records = Vec::with_capacity(n.min(65_536));
+) -> Result<Envelope, DecodeError> {
+    let mut d = Dec::new(payload);
+    let tag = read_header(&mut d)?;
+    let from = d.uv_len()?;
+    let epoch = d.uv()?;
+    let msg = match tag {
+        MSG_RECORDS => {
+            let shard = d.uv_len()?;
+            // A record is at least a one-byte lsn and a one-byte length.
+            let n = d.checked_count(2)?;
+            let mut records = d.vec_for(n);
             for _ in 0..n {
-                let line = next_line(&mut cur)?;
-                match line.split_whitespace().collect::<Vec<_>>()[..] {
-                    ["rec", lsn, payload] => records.push((
-                        num::<u64>(lsn, "lsn")?,
-                        hex_decode(payload).map_err(ProtoError::from)?,
-                    )),
-                    ["rec", lsn] => records.push((num::<u64>(lsn, "lsn")?, Vec::new())),
-                    _ => return Err(ProtoError::new(format!("bad record line: {line:?}"))),
-                }
+                records.push((d.uv()?, d.bytes()?));
             }
             Message::Records { shard, records }
         }
-        ["snapshot", nstripes] => {
-            let nstripes = num::<usize>(nstripes, "stripe count")?;
-            let line = next_line(&mut cur)?;
-            let toks: Vec<&str> = line.split_whitespace().collect();
-            let lsns = match toks.as_slice() {
-                ["lsns", n, vals @ ..] if num::<usize>(n, "lsn count")? == vals.len() => vals
-                    .iter()
-                    .map(|v| num::<u64>(v, "lsn"))
-                    .collect::<Result<Vec<u64>, _>>()?,
-                _ => return Err(ProtoError::new(format!("bad lsns line: {line:?}"))),
-            };
-            let mut stripes = Vec::with_capacity(nstripes.min(1024));
-            for want in 0..nstripes {
-                let line = next_line(&mut cur)?;
-                let nusers = match line.split_whitespace().collect::<Vec<_>>()[..] {
-                    ["stripe", i, n] if num::<usize>(i, "stripe index")? == want => {
-                        num::<usize>(n, "user count")?
-                    }
-                    _ => return Err(ProtoError::new(format!("bad stripe line: {line:?}"))),
-                };
-                stripes.push(read_users(&mut cur, nusers, env, rel)?);
+        MSG_SNAPSHOT => {
+            let lsns = read_u64s(&mut d)?;
+            let n = d.checked_count(1)?;
+            let mut stripes = d.vec_for(n);
+            for _ in 0..n {
+                stripes.push(read_users(&mut d, env, rel)?);
             }
             Message::Snapshot { stripes, lsns }
         }
-        ["heartbeat"] => Message::Heartbeat,
-        ["digest-request"] => Message::DigestRequest,
-        ["resync", shard, last_lsn, n] => Message::Resync {
-            shard: num(shard, "shard")?,
-            last_lsn: num(last_lsn, "last lsn")?,
-            users: {
-                let n = num::<usize>(n, "user count")?;
-                read_users(&mut cur, n, env, rel)?
-            },
+        MSG_HEARTBEAT => Message::Heartbeat,
+        MSG_DIGEST_REQUEST => Message::DigestRequest,
+        MSG_RESYNC => Message::Resync {
+            shard: d.uv_len()?,
+            last_lsn: d.uv()?,
+            users: read_users(&mut d, env, rel)?,
         },
-        _ => {
-            return Err(ProtoError::new(format!(
-                "unknown replication verb: {:?}",
-                verb.join(" ")
-            )))
-        }
+        other => return Err(bad_tag(2, "replication message", other)),
     };
-    Ok(Envelope { from, epoch, msg })
-}
-
-/// Decode the binary `records` envelope form. Lengths and counts are
-/// validated against the remaining bytes before any allocation, so a
-/// hostile claim fails typed instead of reserving gigabytes.
-fn decode_binary_records(payload: &[u8]) -> Result<Envelope, DecodeError> {
-    let mut d = Dec::new(payload);
-    let magic = d.u8()?;
-    if magic != REPL_BINARY_MAGIC {
-        return Err(DecodeError {
-            offset: 0,
-            kind: DecodeKind::BadTag {
-                what: "replication magic",
-                tag: u64::from(magic),
-            },
-        });
-    }
-    let version = d.u8()?;
-    if version != REPL_BINARY_VERSION {
-        return Err(DecodeError {
-            offset: 1,
-            kind: DecodeKind::BadTag {
-                what: "replication codec version",
-                tag: u64::from(version),
-            },
-        });
-    }
-    let from = d.uv()? as NodeId;
-    let epoch = d.uv()?;
-    let shard = d.uv()? as usize;
-    // Each record is at least 2 bytes (one-byte lsn + one-byte length).
-    let n = d.checked_count(2)?;
-    let mut records = Vec::with_capacity(n);
-    for _ in 0..n {
-        let lsn = d.uv()?;
-        records.push((lsn, d.bytes()?));
-    }
     d.expect_end()?;
-    Ok(Envelope {
-        from,
-        epoch,
-        msg: Message::Records { shard, records },
-    })
+    Ok(Envelope { from, epoch, msg })
 }
 
 /// Encode a [`Reply`] as one frame payload.
 pub fn encode_reply(reply: &Reply) -> Vec<u8> {
-    let line = match reply {
-        Reply::Progress { next_lsn } => format!("{REPL_PROTO_VERSION} progress {next_lsn}"),
-        Reply::SnapshotInstalled => format!("{REPL_PROTO_VERSION} snapshot-installed"),
+    let mut out = Vec::with_capacity(16);
+    let head = |out: &mut Vec<u8>, tag: u8| {
+        out.extend_from_slice(&[REPL_BINARY_MAGIC, REPL_BINARY_VERSION, tag]);
+    };
+    match reply {
+        Reply::Progress { next_lsn } => {
+            head(&mut out, RP_PROGRESS);
+            put_uv(&mut out, *next_lsn);
+        }
+        Reply::SnapshotInstalled => head(&mut out, RP_SNAPSHOT_INSTALLED),
         Reply::Beat { epoch, applied } => {
-            let vals: Vec<String> = applied.iter().map(u64::to_string).collect();
-            format!(
-                "{REPL_PROTO_VERSION} beat {epoch} {} {}",
-                applied.len(),
-                vals.join(" ")
-            )
-            .trim_end()
-            .to_string()
+            head(&mut out, RP_BEAT);
+            put_uv(&mut out, *epoch);
+            put_u64s(&mut out, applied);
         }
         Reply::Digests { digests } => {
-            let vals: Vec<String> = digests.iter().map(u64::to_string).collect();
-            format!(
-                "{REPL_PROTO_VERSION} digests {} {}",
-                digests.len(),
-                vals.join(" ")
-            )
-            .trim_end()
-            .to_string()
+            head(&mut out, RP_DIGESTS);
+            put_u64s(&mut out, digests);
         }
-        Reply::Resynced => format!("{REPL_PROTO_VERSION} resynced"),
-        Reply::Fenced { current } => format!("{REPL_PROTO_VERSION} fenced {current}"),
-        Reply::Failed { reason } => format!("{REPL_PROTO_VERSION} failed {}", escape(reason)),
-    };
-    line.into_bytes()
+        Reply::Resynced => head(&mut out, RP_RESYNCED),
+        Reply::Fenced { current } => {
+            head(&mut out, RP_FENCED);
+            put_uv(&mut out, *current);
+        }
+        Reply::Failed { reason } => {
+            head(&mut out, RP_FAILED);
+            put_str(&mut out, reason);
+        }
+    }
+    out
 }
 
 /// Decode one frame payload back into a [`Reply`].
-pub fn decode_reply(payload: &[u8]) -> Result<Reply, ProtoError> {
-    let text =
-        std::str::from_utf8(payload).map_err(|_| ProtoError::new("reply payload is not UTF-8"))?;
-    let toks: Vec<&str> = text.split_whitespace().collect();
-    let rest = match toks.as_slice() {
-        [version, rest @ ..] if *version == REPL_PROTO_VERSION => rest,
-        _ => {
-            return Err(ProtoError::new(format!(
-                "bad reply header: {:?}",
-                text.lines().next().unwrap_or("")
-            )))
-        }
+pub fn decode_reply(payload: &[u8]) -> Result<Reply, DecodeError> {
+    let mut d = Dec::new(payload);
+    let reply = match read_header(&mut d)? {
+        RP_PROGRESS => Reply::Progress { next_lsn: d.uv()? },
+        RP_SNAPSHOT_INSTALLED => Reply::SnapshotInstalled,
+        RP_BEAT => Reply::Beat {
+            epoch: d.uv()?,
+            applied: read_u64s(&mut d)?,
+        },
+        RP_DIGESTS => Reply::Digests {
+            digests: read_u64s(&mut d)?,
+        },
+        RP_RESYNCED => Reply::Resynced,
+        RP_FENCED => Reply::Fenced { current: d.uv()? },
+        RP_FAILED => Reply::Failed { reason: d.str_()? },
+        other => return Err(bad_tag(2, "replication reply", other)),
     };
-    match rest {
-        ["progress", next_lsn] => Ok(Reply::Progress {
-            next_lsn: num(next_lsn, "next lsn")?,
-        }),
-        ["snapshot-installed"] => Ok(Reply::SnapshotInstalled),
-        ["beat", epoch, n, vals @ ..] if num::<usize>(n, "applied count")? == vals.len() => {
-            Ok(Reply::Beat {
-                epoch: num(epoch, "epoch")?,
-                applied: vals
-                    .iter()
-                    .map(|v| num::<u64>(v, "applied lsn"))
-                    .collect::<Result<Vec<u64>, _>>()?,
-            })
-        }
-        ["digests", n, vals @ ..] if num::<usize>(n, "digest count")? == vals.len() => {
-            Ok(Reply::Digests {
-                digests: vals
-                    .iter()
-                    .map(|v| num::<u64>(v, "digest"))
-                    .collect::<Result<Vec<u64>, _>>()?,
-            })
-        }
-        ["resynced"] => Ok(Reply::Resynced),
-        ["fenced", current] => Ok(Reply::Fenced {
-            current: num(current, "epoch")?,
-        }),
-        ["failed", reason] => Ok(Reply::Failed {
-            reason: unescape(reason)
-                .ok_or_else(|| ProtoError::new(format!("bad reason token: {reason:?}")))?,
-        }),
-        _ => Err(ProtoError::new(format!("unknown reply: {text:?}"))),
-    }
+    d.expect_end()?;
+    Ok(reply)
 }
 
 // ---------------------------------------------------------------------------
@@ -758,5 +680,129 @@ impl NodeTransport for TcpTransport {
 
     fn heal_all(&self) {
         self.partitions.lock().clear();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use ctxpref_context::parse_descriptor;
+    use ctxpref_profile::{AttributeClause, ContextualPreference};
+    use ctxpref_workload::reference::{poi_env, poi_relation};
+
+    /// Names a whitespace-token dialect would have had to escape.
+    const AWKWARD: [&str; 3] = ["Ano Poli visitor", "line one\nline two", "Παναγιώτα ✓"];
+
+    fn profile(env: &ContextEnvironment, rel: &Relation, score: f64) -> Profile {
+        let attr = rel
+            .schema()
+            .require_attr("type")
+            .expect("poi schema has type");
+        let pref = ContextualPreference::new(
+            parse_descriptor(env, "accompanying_people = friends").expect("descriptor"),
+            AttributeClause::eq(attr, "museum".into()),
+            score,
+        )
+        .expect("valid preference");
+        let mut p = Profile::new(env.clone());
+        p.insert(pref).expect("no conflict");
+        p
+    }
+
+    fn names(users: &[(String, Profile)]) -> Vec<&str> {
+        users.iter().map(|(n, _)| n.as_str()).collect()
+    }
+
+    #[test]
+    fn every_message_and_reply_roundtrips_with_raw_names() {
+        let env = poi_env();
+        let rel = poi_relation(&env, 3, 1);
+        let users: Vec<(String, Profile)> = AWKWARD
+            .iter()
+            .zip([0.25, 0.5, 0.75])
+            .map(|(name, score)| (name.to_string(), profile(&env, &rel, score)))
+            .collect();
+        let messages = [
+            Message::Records {
+                shard: 3,
+                records: vec![(7, b"add user".to_vec()), (8, Vec::new())],
+            },
+            Message::Snapshot {
+                stripes: vec![users.clone(), Vec::new()],
+                lsns: vec![12, 0],
+            },
+            Message::Heartbeat,
+            Message::DigestRequest,
+            Message::Resync {
+                shard: 1,
+                users: users.clone(),
+                last_lsn: 40,
+            },
+        ];
+        for msg in messages {
+            let sent = Envelope {
+                from: 2,
+                epoch: 9,
+                msg,
+            };
+            let payload = encode_envelope(&sent, &rel).expect("encode");
+            let got = decode_envelope(&payload, &env, &rel).expect("decode");
+            assert_eq!((got.from, got.epoch), (2, 9));
+            // Profiles have no `PartialEq`, so the envelope is compared
+            // by its encoding: a faithful decode re-encodes identically.
+            assert_eq!(encode_envelope(&got, &rel).expect("re-encode"), payload);
+            match &got.msg {
+                Message::Snapshot { stripes, .. } => {
+                    assert_eq!(names(&stripes[0]), AWKWARD);
+                    assert!(stripes[1].is_empty());
+                }
+                Message::Resync { users, .. } => {
+                    assert_eq!(names(users), AWKWARD);
+                    assert!(users.iter().all(|(_, p)| p.preferences().len() == 1));
+                }
+                _ => {}
+            }
+        }
+
+        let reason = format!("disk full: {}", AWKWARD.join(" | "));
+        for reply in [
+            Reply::Progress { next_lsn: 41 },
+            Reply::SnapshotInstalled,
+            Reply::Beat {
+                epoch: 9,
+                applied: vec![3, 0, u64::MAX],
+            },
+            Reply::Digests {
+                digests: vec![0xDEAD_BEEF_DEAD_BEEF, 0],
+            },
+            Reply::Resynced,
+            Reply::Fenced { current: 10 },
+            Reply::Failed {
+                reason: reason.clone(),
+            },
+        ] {
+            assert_eq!(decode_reply(&encode_reply(&reply)).expect("decode"), reply);
+        }
+        // The reason's bytes travel verbatim, unescaped.
+        let payload = encode_reply(&Reply::Failed {
+            reason: reason.clone(),
+        });
+        assert!(payload.ends_with(reason.as_bytes()));
+    }
+
+    #[test]
+    fn a_wrong_version_or_tag_fails_typed() {
+        let mut payload = encode_reply(&Reply::Resynced);
+        payload[1] = 0x02;
+        let err = decode_reply(&payload).expect_err("old version");
+        assert_eq!(err.offset, 1);
+        payload[1] = REPL_BINARY_VERSION;
+        payload[2] = 99;
+        let err = decode_reply(&payload).expect_err("unknown tag");
+        assert!(matches!(err.kind, DecodeKind::BadTag { tag: 99, .. }));
+        let env = poi_env();
+        let rel = poi_relation(&env, 3, 1);
+        let err = decode_envelope(b"0 1 heartbeat\n", &env, &rel).expect_err("text");
+        assert_eq!(err.offset, 0);
     }
 }

@@ -14,19 +14,22 @@
 //!   worker that runs the job renders the rows, encodes the response
 //!   frame, pushes it onto the reactor's completion queue, and wakes
 //!   the reactor.
-//! * **Blocking verbs** — mutations, admin and migration steps,
-//!   batches, and every `ctxpref1` text request — go to a small worker
-//!   pool ([`NetServerConfig::workers`]) that calls the service's
-//!   blocking API. A quorum-acked write holds its thread for a
-//!   replication round trip; on this pool it cannot hold a query
-//!   worker.
+//! * **Blocking verbs** — mutations, admin and migration steps, and
+//!   batches — go to a small worker pool ([`NetServerConfig::workers`])
+//!   that calls the service's blocking API. A quorum-acked write holds
+//!   its thread for a replication round trip; on this pool it cannot
+//!   hold a query worker. A payload that does not decode goes there
+//!   too, and is answered with a typed `proto` error under its request
+//!   id, or under id 0 when even the header is unreadable.
 //!
 //! Responsibilities, and where each is enforced:
 //!
 //! * **Connection admission** — a hard cap on concurrent connections.
 //!   A connection over the cap receives one typed [`Response::Busy`]
-//!   frame and is closed, never parked on an unbounded queue.
-//! * **Pipelining** — a `ctxpref2` (binary) connection may have up to
+//!   frame under id 0 — the id no request carries, so the client reads
+//!   it as a connection-level refusal — and is closed, never parked on
+//!   an unbounded queue.
+//! * **Pipelining** — a connection may have up to
 //!   [`NetServerConfig::max_pipeline`] requests in flight; responses
 //!   carry the request's id and may return **out of order**. Past the
 //!   cap the reactor simply stops reading the socket — backpressure
@@ -34,9 +37,6 @@
 //!   connection's queries is in the service and the service's
 //!   admission is full, so a pipelined burst waits rather than being
 //!   shed; a connection's first query is always offered to admission.
-//!   A `ctxpref1` (text) connection is served serially in order,
-//!   exactly like the previous blocking server, for the one-version
-//!   compatibility window.
 //! * **Deadlines** — an idle connection (no bytes either way for
 //!   [`NetServerConfig::read_timeout`], or output unwritable for
 //!   [`NetServerConfig::write_timeout`]) is closed by the reactor's
@@ -107,9 +107,9 @@ pub struct NetServerConfig {
     /// completions drain — backpressure by TCP.
     pub max_pipeline: usize,
     /// Threads of the pool that runs blocking verbs: mutations, admin
-    /// and migration steps, batches, and `ctxpref1` text requests.
-    /// Queries do not use it; they go straight to the service's own
-    /// workers.
+    /// and migration steps, batches, and the typed refusal of a payload
+    /// that does not decode. Queries do not use it; they go straight to
+    /// the service's own workers.
     pub workers: usize,
     /// The retry hint attached to a connection-admission busy frame
     /// (request-level sheds carry the service's live sojourn-derived
@@ -198,7 +198,6 @@ impl std::fmt::Debug for NetServer {
 struct Job {
     token: Token,
     payload: Vec<u8>,
-    binary: bool,
     /// Injected link stall (`net.conn.delay`), slept by the pool worker
     /// before it dispatches.
     stall: Option<Duration>,
@@ -395,26 +394,19 @@ fn worker_loop(
         if let Some(stall) = job.stall {
             std::thread::sleep(stall);
         }
-        let payload = if job.binary {
-            match codec::decode_request(&job.payload) {
-                Ok(wire) => codec::encode_response(
-                    wire.id,
-                    &dispatch(service, cfg, &wire.req, wire.budget_ms, wire.tier),
-                ),
-                Err(e) => {
-                    // The body was malformed but the header may still
-                    // name the request — answer typed under its id so
-                    // the pipelined client can match the refusal.
-                    let id = codec::request_id_of(&job.payload).unwrap_or(0);
-                    codec::encode_response(id, &proto_err(e))
-                }
-            }
-        } else {
-            // The text dialect predates the envelope: no budget, and
-            // the default Interactive tier.
-            match Request::decode(&job.payload) {
-                Ok(request) => dispatch(service, cfg, &request, 0, Priority::Interactive).encode(),
-                Err(e) => proto_err(e).encode(),
+        let payload = match codec::decode_request(&job.payload) {
+            Ok(wire) => codec::encode_response(
+                wire.id,
+                &dispatch(service, cfg, &wire.req, wire.budget_ms, wire.tier),
+            ),
+            Err(e) => {
+                // The body was malformed but the header may still name
+                // the request — answer typed under its id so the
+                // pipelined client can match the refusal. Without one
+                // (not a `ctxpref2` payload at all) the refusal is
+                // connection-level: id 0.
+                let id = codec::request_id_of(&job.payload).unwrap_or(0);
+                codec::encode_response(id, &proto_err(e))
             }
         };
         completions.push(Completion {
@@ -432,16 +424,6 @@ fn worker_loop(
 const LISTENER_TOKEN: u64 = u64::MAX;
 const WAKER_TOKEN: u64 = u64::MAX - 1;
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Mode {
-    /// First frame not seen yet: dialect unknown.
-    Sniff,
-    /// `ctxpref2`: pipelined, out-of-order completions allowed.
-    Binary,
-    /// `ctxpref1`: serial, in-order (compatibility window).
-    Text,
-}
-
 struct Conn {
     stream: TcpStream,
     decoder: FrameDecoder,
@@ -449,13 +431,10 @@ struct Conn {
     /// write offset into the front one.
     out: VecDeque<Vec<u8>>,
     out_pos: usize,
-    mode: Mode,
     /// Dispatched-but-unanswered requests.
     in_flight: usize,
     /// The queries among them, which the reactor answers itself.
     pending: Vec<Pending>,
-    /// Parsed text frames queued behind the serial dispatch.
-    text_backlog: VecDeque<Vec<u8>>,
     last_activity: Instant,
     /// Output has been unwritable since this instant (write stall).
     write_stalled_since: Option<Instant>,
@@ -615,7 +594,7 @@ impl Reactor {
             let idle = self
                 .conns
                 .get_mut(token)
-                .map(|c| c.in_flight == 0 && c.out.is_empty() && c.text_backlog.is_empty())
+                .map(|c| c.in_flight == 0 && c.out.is_empty())
                 .unwrap_or(true);
             if idle {
                 self.close(token, false);
@@ -656,16 +635,14 @@ impl Reactor {
             }
             if self.conns.len() >= self.cfg.max_connections {
                 self.stats.refused_busy.fetch_add(1, Ordering::AcqRel);
-                // Best-effort typed refusal (text: oldest clients must
-                // understand it), then close. The socket is fresh, so
-                // the small frame fits the send buffer.
-                if let Ok(frame) = encode_frame(
-                    &Response::Busy {
-                        limit: self.cfg.max_connections,
-                        retry_after_ms: self.cfg.busy_retry_after.as_millis() as u64,
-                    }
-                    .encode(),
-                ) {
+                // Best-effort typed refusal under the connection-level
+                // id 0, then close. The socket is fresh, so the small
+                // frame fits the send buffer.
+                let busy = Response::Busy {
+                    limit: self.cfg.max_connections,
+                    retry_after_ms: self.cfg.busy_retry_after.as_millis() as u64,
+                };
+                if let Ok(frame) = encode_frame(&codec::encode_response(0, &busy)) {
                     let mut stream = stream;
                     let _ = stream.write_all(&frame);
                 }
@@ -684,10 +661,8 @@ impl Reactor {
                 decoder: FrameDecoder::new(),
                 out: VecDeque::new(),
                 out_pos: 0,
-                mode: Mode::Sniff,
                 in_flight: 0,
                 pending: Vec::new(),
-                text_backlog: VecDeque::new(),
                 last_activity: Instant::now(),
                 write_stalled_since: None,
                 closing: false,
@@ -747,7 +722,7 @@ impl Reactor {
     }
 
     /// Drain complete frames from the connection's decoder into
-    /// dispatch, respecting the pipeline cap and text seriality.
+    /// dispatch, respecting the pipeline cap.
     fn pump_frames(&mut self, token: Token) {
         loop {
             let Some(conn) = self.conns.get_mut(token) else {
@@ -772,14 +747,18 @@ impl Reactor {
                 Ok(Some(p)) => p,
                 Ok(None) => return,
                 Err(e) => {
-                    // Torn/hostile framing: answer typed where the
-                    // socket still works, then close (the stream is
-                    // misaligned beyond recovery).
+                    // Torn/hostile framing: answer typed, under the
+                    // connection-level id 0, where the socket still
+                    // works, then close (the stream is misaligned
+                    // beyond recovery).
                     let refusal = Response::Err {
                         kind: "frame".to_string(),
                         message: e.to_string(),
                     };
-                    self.enqueue(token, encode_frame(&refusal.encode()).ok());
+                    self.enqueue(
+                        token,
+                        encode_frame(&codec::encode_response(0, &refusal)).ok(),
+                    );
                     self.write_ready(token);
                     self.shutdown_after_flush(token);
                     return;
@@ -796,45 +775,23 @@ impl Reactor {
             let Some(conn) = self.conns.get_mut(token) else {
                 return;
             };
-            if conn.mode == Mode::Sniff {
-                conn.mode = if codec::is_binary(&payload) {
-                    Mode::Binary
-                } else {
-                    Mode::Text
-                };
-            }
-            match conn.mode {
-                Mode::Binary => {
-                    conn.in_flight += 1;
-                    if codec::is_query_request(&payload) {
-                        if let Ok(wire) = codec::decode_request(&payload) {
-                            self.submit_query(token, wire);
-                            continue;
-                        }
-                    }
-                    self.dispatch_blocking(token, payload, true);
-                }
-                Mode::Text | Mode::Sniff => {
-                    // Text is served one request at a time so replies
-                    // stay in request order, as ctxpref1 promises.
-                    if conn.in_flight == 0 {
-                        conn.in_flight = 1;
-                        self.dispatch_blocking(token, payload, false);
-                    } else {
-                        conn.text_backlog.push_back(payload);
-                    }
+            conn.in_flight += 1;
+            if codec::is_query_request(&payload) {
+                if let Ok(wire) = codec::decode_request(&payload) {
+                    self.submit_query(token, wire);
+                    continue;
                 }
             }
+            self.dispatch_blocking(token, payload);
         }
     }
 
     /// Hand a frame to the blocking-verb pool. The link-stall decision
     /// is made here, in frame order, and slept by the pool worker.
-    fn dispatch_blocking(&self, token: Token, payload: Vec<u8>, binary: bool) {
+    fn dispatch_blocking(&self, token: Token, payload: Vec<u8>) {
         let _ = self.job_tx.send(Job {
             token,
             payload,
-            binary,
             stall: delay_of(NET_CONN_DELAY),
         });
     }
@@ -999,14 +956,6 @@ impl Reactor {
                         continue;
                     };
                     conn.in_flight = conn.in_flight.saturating_sub(1);
-                    // Serial text service: release the next queued
-                    // request.
-                    if conn.mode == Mode::Text && conn.in_flight == 0 {
-                        if let Some(next) = conn.text_backlog.pop_front() {
-                            conn.in_flight = 1;
-                            self.dispatch_blocking(token, next, false);
-                        }
-                    }
                     self.enqueue(token, comp.frame);
                 }
             }

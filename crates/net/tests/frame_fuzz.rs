@@ -2,7 +2,8 @@
 //! every byte offset and corrupted one flipped byte at a time, and the
 //! decoder must answer every mutation with a clean typed error —
 //! never a panic, and never an allocation sized by attacker-supplied
-//! bytes.
+//! bytes. The same discipline then runs on the payload decoders: the
+//! `ctxpref2` codec and the binary replication envelope.
 //!
 //! The allocation claim is enforced, not assumed: the test binary
 //! installs a counting global allocator, and the hostile-header cases
@@ -12,9 +13,21 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
+use ctxpref_context::{parse_descriptor, ContextEnvironment};
 use ctxpref_net::frame::{encode_frame, read_frame, FRAME_HEADER, MAX_FRAME_PAYLOAD};
 use ctxpref_net::proto::{AnswerRow, MigrateAction, RemoteAnswer, Request, Response, WireFallback};
-use ctxpref_net::{decode_request, decode_response, encode_request, encode_response, FrameError};
+use ctxpref_net::repl::{
+    decode_envelope, decode_reply, encode_envelope, encode_reply, REPL_BINARY_MAGIC,
+    REPL_BINARY_VERSION,
+};
+use ctxpref_net::{
+    decode_request, decode_response, encode_request, encode_response, DecodeKind, FrameError,
+    BINARY_MAGIC, BINARY_VERSION,
+};
+use ctxpref_profile::{AttributeClause, ContextualPreference, Profile};
+use ctxpref_relation::Relation;
+use ctxpref_replication::{Envelope, Message, Reply};
+use ctxpref_workload::reference::{poi_env, poi_relation};
 
 // ---------------------------------------------------------------------------
 // A counting allocator: thread-local arming, so parallel tests in this
@@ -61,7 +74,7 @@ fn largest_alloc_during(f: impl FnOnce()) -> usize {
 // ---------------------------------------------------------------------------
 
 /// One of every request shape, with awkward field contents (spaces,
-/// newlines, empty strings) so the token escaping is in the stream.
+/// newlines, empty strings), which the codec carries raw.
 fn recorded_requests() -> Vec<Request> {
     vec![
         Request::Ping,
@@ -118,8 +131,10 @@ fn recorded_requests() -> Vec<Request> {
 
 fn recorded_stream() -> Vec<u8> {
     let mut stream = Vec::new();
-    for req in recorded_requests() {
-        stream.extend_from_slice(&encode_frame(&req.encode()).expect("encodable request"));
+    for (id, req) in (1..).zip(recorded_requests()) {
+        stream.extend_from_slice(
+            &encode_frame(&encode_request(id, &req)).expect("encodable request"),
+        );
     }
     stream
 }
@@ -138,8 +153,8 @@ fn drain(bytes: &[u8]) -> (usize, Option<FrameError>) {
                 // Whatever survived the checksum must decode or fail
                 // typed at the protocol layer — both are fine; a panic
                 // is not.
-                let _ = Request::decode(&payload);
-                let _ = Response::decode(&payload);
+                let _ = decode_request(&payload);
+                let _ = decode_response(&payload);
             }
             Ok(None) => return (frames, None),
             Err(e) => return (frames, Some(e)),
@@ -347,54 +362,146 @@ fn binary_response_corpus() -> Vec<Vec<u8>> {
         .collect()
 }
 
+/// The schema a replica decodes shipped profiles against.
+fn poi_schema() -> (ContextEnvironment, Relation) {
+    let env = poi_env();
+    let rel = poi_relation(&env, 3, 1);
+    (env, rel)
+}
+
+/// One of every replication envelope, encoded. The snapshot and resync
+/// carry real profiles under awkward user names.
+fn repl_envelope_corpus(env: &ContextEnvironment, rel: &Relation) -> Vec<Vec<u8>> {
+    let attr = rel
+        .schema()
+        .require_attr("type")
+        .expect("poi schema has type");
+    let mut profile = Profile::new(env.clone());
+    profile
+        .insert(
+            ContextualPreference::new(
+                parse_descriptor(env, "accompanying_people = friends").expect("descriptor"),
+                AttributeClause::eq(attr, "museum".into()),
+                0.8,
+            )
+            .expect("valid preference"),
+        )
+        .expect("no conflict");
+    let users = vec![
+        ("bob with spaces".to_string(), profile.clone()),
+        ("new\nline".to_string(), profile),
+    ];
+    let messages = vec![
+        Message::Records {
+            shard: 2,
+            records: vec![(39, b"ins me pref".to_vec()), (40, vec![255])],
+        },
+        Message::Snapshot {
+            stripes: vec![users.clone(), Vec::new()],
+            lsns: vec![12, 0],
+        },
+        Message::Heartbeat,
+        Message::DigestRequest,
+        Message::Resync {
+            shard: 1,
+            users,
+            last_lsn: 40,
+        },
+    ];
+    messages
+        .into_iter()
+        .map(|msg| {
+            let env = Envelope {
+                from: 1,
+                epoch: 3,
+                msg,
+            };
+            encode_envelope(&env, rel).expect("encodable envelope")
+        })
+        .collect()
+}
+
+/// One of every replication reply, encoded.
+fn repl_reply_corpus() -> Vec<Vec<u8>> {
+    [
+        Reply::Progress { next_lsn: 41 },
+        Reply::SnapshotInstalled,
+        Reply::Beat {
+            epoch: 3,
+            applied: vec![40, 0, 7],
+        },
+        Reply::Digests {
+            digests: vec![0xDEAD_BEEF_DEAD_BEEF, 1],
+        },
+        Reply::Resynced,
+        Reply::Fenced { current: 4 },
+        Reply::Failed {
+            reason: "disk full\non node 2".into(),
+        },
+    ]
+    .iter()
+    .map(encode_reply)
+    .collect()
+}
+
+/// Truncate `payload` at every offset: `decode` must fail every proper
+/// prefix without an allocation sized beyond the bytes present.
+fn assert_prefixes_fail<T, E>(payload: &[u8], decode: impl Fn(&[u8]) -> Result<T, E>) {
+    assert!(decode(payload).is_ok(), "intact payload decodes");
+    for cut in 0..payload.len() {
+        let largest = largest_alloc_during(|| {
+            assert!(
+                decode(&payload[..cut]).is_err(),
+                "every proper prefix must fail to decode (cut at {cut})"
+            );
+        });
+        assert!(
+            largest <= 2 * payload.len() + 1024,
+            "cut at {cut}: allocated {largest} bytes decoding a truncated payload"
+        );
+    }
+}
+
 #[test]
 fn binary_truncation_at_every_offset_fails_typed() {
     for payload in binary_request_corpus() {
-        // The untouched payload decodes.
-        decode_request(&payload).expect("intact payload decodes");
-        for cut in 0..payload.len() {
-            let largest = largest_alloc_during(|| {
-                decode_request(&payload[..cut])
-                    .expect_err("every proper prefix must fail to decode");
-            });
-            assert!(
-                largest <= 2 * payload.len() + 1024,
-                "cut at {cut}: allocated {largest} bytes decoding a truncated payload"
-            );
-        }
+        assert_prefixes_fail(&payload, decode_request);
     }
     for payload in binary_response_corpus() {
-        decode_response(&payload).expect("intact payload decodes");
-        for cut in 0..payload.len() {
-            let largest = largest_alloc_during(|| {
-                decode_response(&payload[..cut])
-                    .expect_err("every proper prefix must fail to decode");
-            });
-            assert!(
-                largest <= 2 * payload.len() + 1024,
-                "cut at {cut}: allocated {largest} bytes decoding a truncated payload"
-            );
-        }
+        assert_prefixes_fail(&payload, decode_response);
+    }
+    let (env, rel) = poi_schema();
+    for payload in repl_envelope_corpus(&env, &rel) {
+        assert_prefixes_fail(&payload, |p| decode_envelope(p, &env, &rel));
+    }
+    for payload in repl_reply_corpus() {
+        assert_prefixes_fail(&payload, decode_reply);
     }
 }
 
 #[test]
 fn binary_flipped_bytes_never_panic_or_overallocate() {
+    let (env, rel) = poi_schema();
     for payload in binary_request_corpus()
         .into_iter()
         .chain(binary_response_corpus())
+        .chain(repl_envelope_corpus(&env, &rel))
+        .chain(repl_reply_corpus())
     {
         for i in 0..payload.len() {
             for bit in [0x01u8, 0x40, 0x80] {
                 let mut bad = payload.clone();
                 bad[i] ^= bit;
                 // A flip may produce a different valid message, a typed
-                // error, or (first byte) demote the payload out of the
-                // binary dialect entirely. It must never panic and
-                // never allocate by a corrupted length claim.
+                // error, or (first byte) hand the payload to the other
+                // decoder: `0xC2 ^ 0x01` is the replication magic. Every
+                // decoder sees every flip. None may panic or allocate by
+                // a corrupted length claim.
                 let largest = largest_alloc_during(|| {
                     let _ = decode_request(&bad);
                     let _ = decode_response(&bad);
+                    let _ = decode_envelope(&bad, &env, &rel);
+                    let _ = decode_reply(&bad);
                 });
                 assert!(
                     largest <= 2 * payload.len() + 1024,
@@ -407,44 +514,92 @@ fn binary_flipped_bytes_never_panic_or_overallocate() {
     }
 }
 
+/// Decode `payload` under the counting allocator: it must fail on a
+/// length or count claim of 2^40 without allocating anywhere near it.
+fn assert_claim_refused<T: std::fmt::Debug>(
+    what: &str,
+    payload: &[u8],
+    decode: impl Fn(&[u8]) -> Result<T, ctxpref_net::DecodeError>,
+) {
+    let largest = largest_alloc_during(|| {
+        let err = decode(payload).expect_err(what);
+        assert!(
+            matches!(err.kind, DecodeKind::LengthOverflow { declared, .. } if declared == 1 << 40),
+            "{what}: refused for the wrong reason: {err:?}"
+        );
+    });
+    assert!(
+        largest < 4096,
+        "{what}: refused, but allocated {largest} bytes on the way"
+    );
+}
+
+/// The varint encoding of 2^40.
+const TERA: [u8; 6] = [0x80, 0x80, 0x80, 0x80, 0x80, 0x20];
+
 #[test]
 fn binary_hostile_length_claim_rejected_before_allocation() {
-    // A hand-built AddUser whose user-string length claims 2^40 bytes.
-    // Tag 4 = add-user in the frozen ctxpref2 vocabulary; the varint
-    // [0x80 ×5, 0x20] encodes 1 << 40.
-    let mut hostile = vec![0xC2, 0x02, 4, 1];
-    hostile.extend_from_slice(&[0x80, 0x80, 0x80, 0x80, 0x80, 0x20]);
-    let largest = largest_alloc_during(|| {
-        decode_request(&hostile).expect_err("terabyte string claim must fail typed");
-    });
-    assert!(
-        largest < 4096,
-        "hostile length claim rejected, but allocated {largest} bytes on the way"
+    // A request header: magic, version, tag, id 1, budget 0, tier 0.
+    let request = |tag: u8, body: &[u8]| {
+        let mut p = vec![BINARY_MAGIC, BINARY_VERSION, tag, 1, 0, 0];
+        p.extend_from_slice(body);
+        p.extend_from_slice(&TERA);
+        p
+    };
+    // Tag 4 = add-user: a user-string length claiming 2^40 bytes.
+    assert_claim_refused("terabyte string claim", &request(4, &[]), decode_request);
+    // Tag 16 = batch: a sub-request count claiming 2^40 items.
+    assert_claim_refused("terabyte batch claim", &request(16, &[]), decode_request);
+    // Tag 19 = top-k: user "a", attr "n", k 1, deadline 1, then a
+    // state-value count claiming 2^40 strings.
+    assert_claim_refused(
+        "terabyte state-count claim",
+        &request(19, &[1, b'a', 1, b'n', 1, 1]),
+        decode_request,
     );
 
-    // Same discipline for a hostile element *count*: a batch claiming
-    // 2^40 sub-requests (tag 16) in a 10-byte payload.
-    let mut hostile = vec![0xC2, 0x02, 16, 1];
-    hostile.extend_from_slice(&[0x80, 0x80, 0x80, 0x80, 0x80, 0x20]);
-    let largest = largest_alloc_during(|| {
-        decode_request(&hostile).expect_err("terabyte batch claim must fail typed");
-    });
-    assert!(
-        largest < 4096,
-        "hostile count claim rejected, but allocated {largest} bytes on the way"
+    // The replication envelope: magic, version, tag, from 1, epoch 1.
+    let (env, rel) = poi_schema();
+    let envelope = |tag: u8, body: &[u8]| {
+        let mut p = vec![REPL_BINARY_MAGIC, REPL_BINARY_VERSION, tag, 1, 1];
+        p.extend_from_slice(body);
+        p.extend_from_slice(&TERA);
+        p
+    };
+    let decode = |p: &[u8]| decode_envelope(p, &env, &rel);
+    // Tag 1 = records on shard 0: a record count of 2^40.
+    assert_claim_refused("terabyte record count", &envelope(1, &[0]), decode);
+    // Tag 2 = snapshot: no lsns, then a stripe count of 2^40.
+    assert_claim_refused("terabyte stripe count", &envelope(2, &[0]), decode);
+    // Tag 5 = resync of shard 0 after lsn 0: one user "a" whose
+    // profile section claims 2^40 bytes.
+    assert_claim_refused(
+        "terabyte profile section",
+        &envelope(5, &[0, 0, 1, 1, b'a']),
+        decode,
     );
+    // A reply: tag 3 = beat at epoch 1, applied count 2^40.
+    let mut beat = vec![REPL_BINARY_MAGIC, REPL_BINARY_VERSION, 3, 1];
+    beat.extend_from_slice(&TERA);
+    assert_claim_refused("terabyte applied count", &beat, decode_reply);
+}
 
-    // And for the top-k verb (tag 19): user "a", attr "n", k 1,
-    // deadline 1, then a state-value count claiming 2^40 strings.
-    let mut hostile = vec![0xC2, 0x02, 19, 1];
-    hostile.extend_from_slice(&[1, b'a', 1, b'n', 1, 1]);
-    hostile.extend_from_slice(&[0x80, 0x80, 0x80, 0x80, 0x80, 0x20]);
+#[test]
+fn binary_counts_reserve_no_more_than_the_input() {
+    // A count the bytes can honour is still no licence to reserve
+    // memory: a top-k request claiming 4096 state strings over 4096
+    // bytes of garbage may reserve at most about twice the input, not
+    // 4096 24-byte `String`s.
+    let mut payload = vec![BINARY_MAGIC, BINARY_VERSION, 19, 1, 0, 0];
+    payload.extend_from_slice(&[1, b'a', 1, b'n', 1, 1, 0x80, 0x20]);
+    payload.extend(std::iter::repeat_n(0xff, 4096));
     let largest = largest_alloc_during(|| {
-        decode_request(&hostile).expect_err("terabyte state-count claim must fail typed");
+        decode_request(&payload).expect_err("garbage state strings");
     });
     assert!(
-        largest < 4096,
-        "hostile top-k state count rejected, but allocated {largest} bytes on the way"
+        largest <= 2 * payload.len() + 1024,
+        "a 4096-string claim reserved {largest} bytes for a {}-byte payload",
+        payload.len()
     );
 }
 

@@ -225,3 +225,89 @@ fn nested_batches_are_refused_typed() {
     client.ping().expect("connection still serviceable");
     server.shutdown();
 }
+
+#[test]
+fn a_text_payload_gets_a_typed_proto_refusal_under_id_zero() {
+    // `ctxpref2` is the only dialect: a frame in the retired text
+    // dialect is answered with a typed `proto` error under the
+    // connection-level id 0 (its header names no request), not with a
+    // text reply and not with a hang. The connection stays usable.
+    let _guard = plan_lock();
+    let server = spawn_server();
+    let mut stream = TcpStream::connect(server.local_addr()).expect("dial");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(5)))
+        .expect("read timeout");
+
+    write_frame(&mut stream, b"ctxpref1 ping").expect("write text frame");
+    let payload = read_frame(&mut stream)
+        .expect("read frame")
+        .expect("a response frame");
+    let wire = decode_response(&payload).expect("a binary response");
+    assert_eq!(wire.id, 0, "no request id to answer under");
+    match wire.resp {
+        Response::Err { kind, .. } => assert_eq!(kind, "proto"),
+        other => panic!("expected a typed proto error, got {other:?}"),
+    }
+
+    write_frame(&mut stream, &encode_request(5, &Request::Ping)).expect("write frame");
+    let payload = read_frame(&mut stream)
+        .expect("read frame")
+        .expect("a response frame");
+    let wire = decode_response(&payload).expect("a binary response");
+    assert_eq!((wire.id, wire.resp), (5, Response::Pong));
+    drop(stream);
+    server.shutdown();
+}
+
+#[test]
+fn an_id_zero_busy_fails_the_pipeline_and_the_next_call_redials() {
+    // A server at its connection cap refuses with one busy frame under
+    // id 0 and closes. A pipelined burst surfaces that as the typed
+    // `ServerBusy`, drops the refused connection, and redials on its
+    // next call.
+    let _guard = plan_lock();
+    let env = poi_env();
+    let db = MultiUserDb::new(env.clone(), poi_relation(&env, 3, 1), 4);
+    let service = Arc::new(CtxPrefService::new(db, ServiceConfig::default()));
+    let server = NetServer::bind(
+        "127.0.0.1:0",
+        service,
+        NetServerConfig {
+            max_connections: 1,
+            ..NetServerConfig::default()
+        },
+    )
+    .expect("bind loopback");
+    let cfg = NetClientConfig {
+        busy_attempts: 1,
+        ..NetClientConfig::default()
+    };
+    let mut holder = NetClient::connect(server.local_addr().to_string(), cfg);
+    holder.ping().expect("holder admitted");
+
+    let mut client = NetClient::connect(server.local_addr().to_string(), cfg);
+    let burst = [Request::Ping, Request::Stats];
+    match client.pipeline(&burst) {
+        Err(NetError::ServerBusy { limit, retry_after }) => {
+            assert_eq!(limit, 1);
+            assert!(retry_after > Duration::ZERO, "the admission hint travels");
+        }
+        other => panic!("expected ServerBusy, got {other:?}"),
+    }
+
+    drop(holder);
+    let deadline = Instant::now() + Duration::from_secs(5);
+    let resps = loop {
+        match client.pipeline(&burst) {
+            Ok(resps) => break resps,
+            Err(NetError::ServerBusy { .. }) if Instant::now() < deadline => {
+                std::thread::sleep(Duration::from_millis(10));
+            }
+            Err(e) => panic!("the client did not redial after the refusal: {e:?}"),
+        }
+    };
+    assert_eq!(resps[0], Response::Pong);
+    assert!(matches!(&resps[1], Response::Text { .. }));
+    server.shutdown();
+}
